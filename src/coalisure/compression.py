@@ -174,8 +174,6 @@ def rebuild_bounds(
     for coalition in enumerate_subcoalitions(spec):
         best = -np.inf
         for agent in coalition.members:
-            if coalition not in spec.allowed(agent):
-                continue
             idx = list(selection[agent])
             if not idx:
                 continue
@@ -259,7 +257,6 @@ def _witness_sets(spec: GameSpec, samples: PrivateSamples, values, full):
             witnesses = frozenset(
                 (agent, k)
                 for agent in c.members
-                if c in spec.allowed(agent)
                 for k in np.flatnonzero(values[agent][c.mask] == full.value(c))
             )
             needed.append(witnesses)

@@ -95,8 +95,9 @@ class ScenarioCoreDesc:
 def tighten(spec: GameSpec, samples: PrivateSamples) -> TightenedBounds:
     """Compute every coalition's tightened bound from the private samples.
 
-    Only agents whose allowed structure contains the coalition contribute;
-    argmax ties break toward the lowest (agent, sample) pair.
+    Every member agent contributes (its allowed structure holds every
+    coalition containing it); argmax ties break toward the lowest
+    (agent, sample) pair.
     """
     if samples.n_agents != spec.n_agents:
         raise GameSpecError(
@@ -110,18 +111,12 @@ def tighten(spec: GameSpec, samples: PrivateSamples) -> TightenedBounds:
         who = None
         per_agent: dict[int, float] = {}
         for agent in coalition.members:
-            if coalition not in spec.allowed(agent):
-                continue
             vals = spec.value_model.value_batch(coalition, samples.per_agent[agent])
             k = int(np.argmax(vals))
             per_agent[agent] = float(vals[k])
-            if vals[k] > best:
+            if who is None or vals[k] > best:
                 best = float(vals[k])
                 who = (agent, k)
-        if who is None:
-            raise GameSpecError(
-                f"coalition {{{coalition.label()}}} has no member agent holding samples"
-            )
         entries[coalition.mask] = BoundEntry(best, who[0], who[1], per_agent)
     return TightenedBounds(entries)
 

@@ -112,11 +112,12 @@ def estimate_core_instability(
     coalition's minimum payoff over the core, so the per-sample cost after
     the LP precomputation is one affine evaluation per coalition.
     """
-    if scenario_core.is_empty(core):
-        raise EmptyCoreError("core instability is undefined for an empty core")
-    minima = {
-        c.mask: scenario_core.coalition_min(core, c) for c in core.coalitions()
-    }
+    try:
+        minima = {
+            c.mask: scenario_core.coalition_min(core, c) for c in core.coalitions()
+        }
+    except EmptyCoreError as exc:
+        raise EmptyCoreError("core instability is undefined for an empty core") from exc
     fresh = draw_fresh(dist, n, seed)
     hits = int(_violation_flags(spec, minima, fresh).sum())
     lo, hi = clopper_pearson(hits, n)

@@ -12,6 +12,7 @@ from itertools import product
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from scipy.optimize import linprog
 
 from coalisure import compression as cp
 from coalisure import risk
@@ -308,6 +309,41 @@ class TestCriterion7GeometryOracles:
             worst = max(worst, abs(sol.objective - brute))
         assert worst <= 1e-7
         print(f"ACCEPTANCE 7c PASS: slack objective vs lifted vertices, worst gap {worst:.2e}")
+
+    def test_row_generation_matches_full_slack_program_at_k200(self):
+        """Row generation against one solve of the full slack program (all
+        600 x 3 sample rows) at K=200 per agent on the empty-core game."""
+        spec = empty_core_game()
+        samples = draw_private(UNIT2, (200, 200, 200), 20240907)
+        sol = zc.solve_zeta_program(spec, samples)
+        n, total_k = spec.n_agents, sum(samples.counts)
+        offs = np.concatenate([[0], np.cumsum(samples.counts)])[:-1]
+        rows, rhs = [], []
+        for agent in range(n):
+            ks = np.arange(samples.counts[agent])
+            for coalition in spec.allowed(agent):
+                # -(x(S) + zeta_ik) <= -u_S(xi_i^(k))
+                block = np.zeros((ks.size, n + total_k))
+                block[:, list(coalition.members)] = -1.0
+                block[ks, n + offs[agent] + ks] = -1.0
+                rows.append(block)
+                rhs.append(-spec.value_model.value_batch(coalition, samples.per_agent[agent]))
+        eff = np.concatenate([np.ones(n), np.zeros(total_k)])
+        full = linprog(
+            np.concatenate([np.zeros(n), np.ones(total_k)]),
+            A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
+            A_eq=eff.reshape(1, -1), b_eq=[spec.grand_value],
+            bounds=[(None, None)] * n + [(0.0, None)] * total_k,
+            method="highs",
+        )
+        assert full.status == 0
+        assert full.fun > 0.0  # the sampled core is empty
+        assert abs(sol.objective - full.fun) <= 1e-6
+        assert sol.x_star.sum() == pytest.approx(spec.grand_value, abs=1e-9)
+        print(
+            f"ACCEPTANCE 7d PASS: row generation vs full slack program at K=200, "
+            f"gap {abs(sol.objective - full.fun):.2e}"
+        )
 
 
 class TestCriterion8Monotonicity:

@@ -1,6 +1,9 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from coalisure import lp
 from coalisure.errors import LpError
 from coalisure.lp import INFEASIBLE, OPTIMAL, TOL, UNBOUNDED, LinearProgram, feasible, solve
 
@@ -138,3 +141,92 @@ class TestDeterminism:
         assert first.status == second.status
         assert (first.x == second.x).all()
         assert first.objective == second.objective
+
+
+class TestStatusMapping:
+    def test_infeasible_with_unbounded_ray(self):
+        # x0 can fall without limit, but 1 <= x1 <= 0 has no solution
+        out = solve(
+            LinearProgram.build([1.0, 0.0], a_ge=[[0.0, 1.0], [0.0, -1.0]], b_ge=[1.0, 0.0])
+        )
+        assert out.status == INFEASIBLE
+        assert out.x is None
+
+    def test_unbounded_with_equality_row(self):
+        out = solve(
+            LinearProgram.build(
+                [-1.0, 0.0], a_eq=[[1.0, -1.0]], b_eq=[1.0], lower_bounds=[0.0, 0.0]
+            )
+        )
+        assert out.status == UNBOUNDED
+        assert out.x is None
+
+    @pytest.mark.parametrize("presolve", ["on", "off"])
+    def test_undecided_status_is_settled(self, monkeypatch, presolve):
+        """With HiGHS allowed to stop at 'unbounded or infeasible', the
+        zero-objective re-solve still gives each program its verdict."""
+        opts = lp._options()
+        opts.allow_unbounded_or_infeasible = True
+        opts.presolve = presolve
+        monkeypatch.setattr(lp, "_OPTIONS", opts)
+        cases = [
+            (LinearProgram.build([-1.0], a_ge=[[1.0]], b_ge=[0.0]), UNBOUNDED),
+            (LinearProgram.build([-1.0, 0.0], a_eq=[[0.0, 1.0]], b_eq=[1.0]), UNBOUNDED),
+            (
+                LinearProgram.build(
+                    [-1.0, 0.0], a_ge=[[0.0, 1.0], [0.0, -1.0]], b_ge=[1.0, 0.0]
+                ),
+                INFEASIBLE,
+            ),
+            (
+                LinearProgram.build(
+                    [-1.0, -1.0],
+                    a_ge=[[1.0, -1.0], [-1.0, 1.0]],
+                    b_ge=[1.0, 0.0],
+                    lower_bounds=[0.0, 0.0],
+                ),
+                INFEASIBLE,
+            ),
+            (LinearProgram.build([1.0], a_ge=[[1.0]], b_ge=[3.0]), OPTIMAL),
+        ]
+        for prog, verdict in cases:
+            assert solve(prog).status == verdict
+
+
+def _degenerate_programs():
+    """Bounded, feasible programs with integer rows and 0/1 costs, so that
+    ties between optimal vertices are likely."""
+    rng = np.random.default_rng(77)
+    progs = []
+    for _ in range(6):
+        n = 12
+        a_ge = rng.integers(-2, 3, size=(30, n)).astype(float)
+        b_ge = a_ge @ np.full(n, 1.0 / n) - rng.integers(0, 2, size=30)
+        c = rng.integers(0, 2, size=n).astype(float)
+        progs.append(
+            LinearProgram.build(
+                c, a_eq=[np.ones(n)], b_eq=[1.0], a_ge=a_ge, b_ge=b_ge,
+                lower_bounds=np.full(n, -5.0),
+            )
+        )
+    return progs
+
+
+class TestBitIdenticalRepeats:
+    def test_serial_repeats(self):
+        for prog in _degenerate_programs():
+            first = solve(prog)
+            assert first.status == OPTIMAL
+            for _ in range(3):
+                again = solve(prog)
+                assert again.x.tobytes() == first.x.tobytes()
+                assert again.objective == first.objective
+
+    def test_thread_pool_repeats(self):
+        progs = _degenerate_programs()
+        reference = [solve(p).x.tobytes() for p in progs]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(solve, p) for _ in range(5) for p in progs]
+            results = [f.result(timeout=60) for f in futures]
+        for i, out in enumerate(results):
+            assert out.x.tobytes() == reference[i % len(progs)]
