@@ -8,7 +8,9 @@ Subcommands::
     certify    requested stability certificates       -> certificates.json
     zeta       slack-minimizing allocation + certificate -> zeta.json
     validate   Monte Carlo coverage per method        -> coverage_<method>.{json,csv}
-    run-all    all of the above in order
+    run-all    generate, core, zeta, certify, compress and validate run in
+               sequence on one sample set, so each point and complexity is
+               computed once
 
 Every run is a pure function of the config file plus explicit flag
 overrides: artifacts carry no timestamps and identical inputs produce
@@ -61,7 +63,7 @@ import click
 from . import compression, risk, scenario_core, validation, zeta_core
 from .errors import CoalisureError, ConfigError
 from .game import GameSpec
-from .sampling import DistributionSpec, PrivateSamples, draw_private, samples_from_csv, samples_to_csv
+from .sampling import DistributionSpec, draw_private, samples_from_csv, samples_to_csv
 
 SCHEMA_VERSION = 1
 
@@ -172,62 +174,25 @@ def write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _load_samples(out: Path, samples_path: Path | None) -> PrivateSamples:
+def _load_samples(config: ExperimentConfig, out: Path, samples_path: Path | None) -> validation.SampleSet:
     path = samples_path or out / "samples.csv"
     if not path.exists():
         raise CoalisureError(f"samples file not found: {path} (run 'generate' first)")
-    return samples_from_csv(path.read_text())
+    return validation.SampleSet(config.spec, samples_from_csv(path.read_text()), config.compression_mode)
 
 
-def _certify(config: ExperimentConfig, samples: PrivateSamples | None, methods) -> dict:
-    docs = {}
-    split = config.split()
-    cset = None
-    for method in methods:
-        try:
-            if method == risk.METHOD_CORE_APRIORI:
-                cert = risk.a_priori_core_bound(split, config.counts)
-            elif method == risk.METHOD_ALLOCATION_APRIORI_BUDGET:
-                cert = risk.a_priori_allocation_bound_budget(split, config.counts)
-            elif method == risk.METHOD_ALLOCATION_APRIORI:
-                if config.epsilon is None:
-                    raise ConfigError("allocation-apriori needs 'epsilon' in the config")
-                n = config.spec.n_agents
-                ranks = [risk.support_rank(config.spec, i) for i in range(n)]
-                cert = risk.a_priori_allocation_bound(
-                    [config.epsilon / n] * n, config.counts, ranks
-                )
-            else:
-                if samples is None:
-                    raise CoalisureError(f"method {method} needs a samples file")
-                if method == risk.METHOD_RELAXED_ALLOCATION:
-                    sol = zeta_core.solve_zeta_program(config.spec, samples)
-                    cert = zeta_core.zeta_certificate(
-                        split,
-                        sol.s_star,
-                        config.counts,
-                        config.spec.n_agents,
-                        assumption_continuous=not config.dist.possibly_degenerate,
-                        provenance={"seed": config.master_seed},
-                    )
-                else:
-                    if cset is None:
-                        cset = compression.compress_all(config.spec, samples, config.compression_mode)
-                    if method == risk.METHOD_CORE_APOSTERIORI:
-                        cert = risk.a_posteriori_core_bound(
-                            split, cset.cardinalities, config.counts,
-                            provenance={"seed": config.master_seed, "compression": cset.mode_tag},
-                        )
-                    else:
-                        cert = risk.a_posteriori_allocation_bound(
-                            split, cset.cardinalities, config.counts,
-                            provenance={"seed": config.master_seed, "compression": cset.mode_tag},
-                        )
-            docs[method] = cert.to_json_dict()
-        except ConfigError:
-            raise
-        except CoalisureError as exc:
-            docs[method] = {"error": f"{type(exc).__name__}: {exc}"}
+def _certificate_doc(config: ExperimentConfig, sampled: validation.SampleSet | None, method: str) -> dict:
+    try:
+        return validation.certify(method, config, sampled, config.master_seed).to_json_dict()
+    except ConfigError:
+        raise
+    except CoalisureError as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def _certify(config: ExperimentConfig, sampled: validation.SampleSet | None, methods) -> dict:
+    config.split()  # an invalid beta split fails the command, not each method
+    docs = {method: _certificate_doc(config, sampled, method) for method in methods}
     return {"schema_version": SCHEMA_VERSION, "certificates": docs}
 
 
@@ -247,6 +212,50 @@ def _coverage_config(config: ExperimentConfig, method: str, trials, n_fresh) -> 
     )
 
 
+def _write_samples(config: ExperimentConfig, out: Path) -> validation.SampleSet:
+    samples = draw_private(config.dist, config.counts, config.master_seed)
+    (out / "samples.csv").write_text(samples_to_csv(samples))
+    return validation.SampleSet(config.spec, samples, config.compression_mode)
+
+
+def _write_core(config: ExperimentConfig, out: Path, sampled: validation.SampleSet) -> dict:
+    desc = sampled.core
+    doc = desc.to_json_dict()
+    doc["empty"] = scenario_core.is_empty(desc)
+    if config.spec.n_agents <= scenario_core.VERTEX_GUARD_AGENTS:
+        doc["vertices"] = [
+            [float(v) for v in vertex] for vertex in scenario_core.vertices(desc)
+        ]
+    write_json(out / "core.json", doc)
+    return doc
+
+
+def _write_compression(out: Path, sampled: validation.SampleSet) -> compression.CompressionSet:
+    cset = sampled.compression
+    write_json(out / "compression.json", cset.to_json_dict())
+    return cset
+
+
+def _write_zeta(config: ExperimentConfig, out: Path, sampled: validation.SampleSet) -> zeta_core.ZetaSolution:
+    sol = sampled.zeta
+    doc = sol.to_json_dict()
+    doc["certificate"] = _certificate_doc(config, sampled, risk.METHOD_RELAXED_ALLOCATION)
+    write_json(out / "zeta.json", doc)
+    return sol
+
+
+def _write_coverage(config: ExperimentConfig, out: Path, methods, trials, fresh) -> list:
+    trials = config.trials if trials is None else trials
+    fresh = config.n_fresh if fresh is None else fresh
+    reports = []
+    for m in methods:
+        report = validation.coverage_experiment(_coverage_config(config, m, trials, fresh))
+        write_json(out / f"coverage_{m}.json", report.to_json_dict())
+        (out / f"coverage_{m}.csv").write_text(report.to_csv())
+        reports.append(report)
+    return reports
+
+
 _config_option = click.option(
     "--config", "config_path", type=click.Path(path_type=Path), required=True,
     help="Experiment config JSON.",
@@ -259,6 +268,20 @@ _seed_option = click.option("--seed", type=int, default=None, help="Override mas
 _samples_option = click.option(
     "--samples", "samples_path", type=click.Path(path_type=Path), default=None,
     help="Samples CSV (default: OUT/samples.csv).",
+)
+
+
+def _method_option(help_text: str):
+    return click.option(
+        "--method", "methods", multiple=True, type=click.Choice(risk.ALL_METHODS), help=help_text
+    )
+
+
+_trials_option = click.option(
+    "--trials", type=click.IntRange(min=1), default=None, help="Override validation.trials."
+)
+_fresh_option = click.option(
+    "--fresh", type=click.IntRange(min=1), default=None, help="Override validation.n_fresh."
 )
 
 
@@ -294,10 +317,8 @@ def generate(config_path, out, seed):
     """Draw the private multi-sample and write samples.csv."""
 
     def go():
-        config = _prepare(config_path, out, seed)
-        samples = draw_private(config.dist, config.counts, config.master_seed)
-        (out / "samples.csv").write_text(samples_to_csv(samples))
-        click.echo(f"wrote {out / 'samples.csv'} ({samples.total} samples)")
+        sampled = _write_samples(_prepare(config_path, out, seed), out)
+        click.echo(f"wrote {out / 'samples.csv'} ({sampled.samples.total} samples)")
 
     _run(go)
 
@@ -312,16 +333,7 @@ def core(config_path, out, seed, samples_path):
 
     def go():
         config = _prepare(config_path, out, seed)
-        samples = _load_samples(out, samples_path)
-        bounds = scenario_core.tighten(config.spec, samples)
-        desc = scenario_core.build(config.spec, bounds)
-        doc = desc.to_json_dict()
-        doc["empty"] = scenario_core.is_empty(desc)
-        if config.spec.n_agents <= scenario_core.VERTEX_GUARD_AGENTS:
-            doc["vertices"] = [
-                [float(v) for v in vertex] for vertex in scenario_core.vertices(desc)
-            ]
-        write_json(out / "core.json", doc)
+        doc = _write_core(config, out, _load_samples(config, out, samples_path))
         click.echo(f"wrote {out / 'core.json'} (empty={doc['empty']})")
 
     _run(go)
@@ -337,9 +349,7 @@ def compress(config_path, out, seed, samples_path):
 
     def go():
         config = _prepare(config_path, out, seed)
-        samples = _load_samples(out, samples_path)
-        cset = compression.compress_all(config.spec, samples, config.compression_mode)
-        write_json(out / "compression.json", cset.to_json_dict())
+        cset = _write_compression(out, _load_samples(config, out, samples_path))
         click.echo(f"wrote {out / 'compression.json'} (sizes={list(cset.cardinalities)})")
 
     _run(go)
@@ -350,28 +360,17 @@ def compress(config_path, out, seed, samples_path):
 @_out_option
 @_seed_option
 @_samples_option
-@click.option("--method", "methods", multiple=True, help="Certificate method (repeatable).")
+@_method_option("Certificate method (repeatable).")
 def certify(config_path, out, seed, samples_path, methods):
     """Write one certificate per requested method to certificates.json."""
 
     def go():
         config = _prepare(config_path, out, seed)
         requested = methods or config.methods
-        for m in requested:
-            if m not in risk.ALL_METHODS:
-                raise ConfigError(
-                    f"unknown certificate method {m!r}; valid: {', '.join(risk.ALL_METHODS)}"
-                )
-        needs_samples = any(
-            m in (
-                risk.METHOD_CORE_APOSTERIORI,
-                risk.METHOD_ALLOCATION_APOSTERIORI,
-                risk.METHOD_RELAXED_ALLOCATION,
-            )
-            for m in requested
-        )
-        samples = _load_samples(out, samples_path) if needs_samples else None
-        write_json(out / "certificates.json", _certify(config, samples, requested))
+        sampled = None
+        if any(validation.METHODS[m].needs_samples for m in requested):
+            sampled = _load_samples(config, out, samples_path)
+        write_json(out / "certificates.json", _certify(config, sampled, requested))
         click.echo(f"wrote {out / 'certificates.json'} ({len(requested)} methods)")
 
     _run(go)
@@ -387,22 +386,7 @@ def zeta(config_path, out, seed, samples_path):
 
     def go():
         config = _prepare(config_path, out, seed)
-        samples = _load_samples(out, samples_path)
-        sol = zeta_core.solve_zeta_program(config.spec, samples)
-        doc = sol.to_json_dict()
-        try:
-            cert = zeta_core.zeta_certificate(
-                config.split(),
-                sol.s_star,
-                config.counts,
-                config.spec.n_agents,
-                assumption_continuous=not config.dist.possibly_degenerate,
-                provenance={"seed": config.master_seed},
-            )
-            doc["certificate"] = cert.to_json_dict()
-        except CoalisureError as exc:
-            doc["certificate"] = {"error": f"{type(exc).__name__}: {exc}"}
-        write_json(out / "zeta.json", doc)
+        sol = _write_zeta(config, out, _load_samples(config, out, samples_path))
         click.echo(f"wrote {out / 'zeta.json'} (objective={sol.objective:.6g})")
 
     _run(go)
@@ -411,29 +395,17 @@ def zeta(config_path, out, seed, samples_path):
 @main.command()
 @_config_option
 @_out_option
-@click.option("--method", "methods", multiple=True, help="Method to validate (repeatable).")
-@click.option("--trials", type=int, default=None, help="Override validation.trials.")
-@click.option("--fresh", type=int, default=None, help="Override validation.n_fresh.")
+@_method_option("Method to validate (repeatable).")
+@_trials_option
+@_fresh_option
 def validate(config_path, out, methods, trials, fresh):
     """Coverage experiments: certified levels vs Monte Carlo estimates."""
 
     def go():
         config = _prepare(config_path, out, None)
-        requested = methods or config.methods
-        for m in requested:
-            if m not in risk.ALL_METHODS:
-                raise ConfigError(
-                    f"unknown certificate method {m!r}; valid: {', '.join(risk.ALL_METHODS)}"
-                )
-        for m in requested:
-            cfg = _coverage_config(
-                config, m, trials or config.trials, fresh or config.n_fresh
-            )
-            report = validation.coverage_experiment(cfg)
-            write_json(out / f"coverage_{m}.json", report.to_json_dict())
-            (out / f"coverage_{m}.csv").write_text(report.to_csv())
+        for report in _write_coverage(config, out, methods or config.methods, trials, fresh):
             click.echo(
-                f"{m}: exceedance {report.exceedance_frequency:.4f} over "
+                f"{report.method}: exceedance {report.exceedance_frequency:.4f} over "
                 f"{report.n_trials} trials ({report.n_failed} failed)"
             )
 
@@ -444,56 +416,21 @@ def validate(config_path, out, methods, trials, fresh):
 @_config_option
 @_out_option
 @_seed_option
-@click.option("--method", "methods", multiple=True, help="Restrict certificate methods.")
-@click.option("--trials", type=int, default=None, help="Override validation.trials.")
-@click.option("--fresh", type=int, default=None, help="Override validation.n_fresh.")
+@_method_option("Restrict certificate methods.")
+@_trials_option
+@_fresh_option
 def run_all(config_path, out, seed, methods, trials, fresh):
-    """generate -> core -> compress -> zeta -> certify -> validate."""
+    """generate -> core -> zeta -> certify -> compress -> validate on one sample set."""
 
     def go():
         config = _prepare(config_path, out, seed)
         requested = methods or config.methods
-        for m in requested:
-            if m not in risk.ALL_METHODS:
-                raise ConfigError(
-                    f"unknown certificate method {m!r}; valid: {', '.join(risk.ALL_METHODS)}"
-                )
-        samples = draw_private(config.dist, config.counts, config.master_seed)
-        (out / "samples.csv").write_text(samples_to_csv(samples))
-
-        bounds = scenario_core.tighten(config.spec, samples)
-        desc = scenario_core.build(config.spec, bounds)
-        core_doc = desc.to_json_dict()
-        core_doc["empty"] = scenario_core.is_empty(desc)
-        if config.spec.n_agents <= scenario_core.VERTEX_GUARD_AGENTS:
-            core_doc["vertices"] = [
-                [float(v) for v in vertex] for vertex in scenario_core.vertices(desc)
-            ]
-        write_json(out / "core.json", core_doc)
-
-        cset = compression.compress_all(config.spec, samples, config.compression_mode)
-        write_json(out / "compression.json", cset.to_json_dict())
-
-        sol = zeta_core.solve_zeta_program(config.spec, samples)
-        zeta_doc = sol.to_json_dict()
-        try:
-            cert = zeta_core.zeta_certificate(
-                config.split(), sol.s_star, config.counts, config.spec.n_agents,
-                assumption_continuous=not config.dist.possibly_degenerate,
-                provenance={"seed": config.master_seed},
-            )
-            zeta_doc["certificate"] = cert.to_json_dict()
-        except CoalisureError as exc:
-            zeta_doc["certificate"] = {"error": f"{type(exc).__name__}: {exc}"}
-        write_json(out / "zeta.json", zeta_doc)
-
-        write_json(out / "certificates.json", _certify(config, samples, requested))
-
-        for m in requested:
-            cfg = _coverage_config(config, m, trials or config.trials, fresh or config.n_fresh)
-            report = validation.coverage_experiment(cfg)
-            write_json(out / f"coverage_{m}.json", report.to_json_dict())
-            (out / f"coverage_{m}.csv").write_text(report.to_csv())
+        sampled = _write_samples(config, out)
+        _write_core(config, out, sampled)
+        _write_zeta(config, out, sampled)
+        write_json(out / "certificates.json", _certify(config, sampled, requested))
+        _write_compression(out, sampled)
+        _write_coverage(config, out, requested, trials, fresh)
         click.echo(f"wrote pipeline artifacts to {out}")
 
     _run(go)

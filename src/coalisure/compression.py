@@ -91,31 +91,28 @@ class CompressionSet:
         }
 
 
-def _agent_maxima(spec: GameSpec, samples: PrivateSamples, agent: int):
-    """For each coalition the agent may join: (sampled max, argmax index)."""
-    out = {}
-    for coalition in spec.allowed(agent):
-        vals = spec.value_model.value_batch(coalition, samples.per_agent[agent])
-        k = int(np.argmax(vals))  # ties resolve to the lowest index
-        out[coalition.mask] = (float(vals[k]), k)
-    return out
-
-
 def compress_agent(
     spec: GameSpec,
     samples: PrivateSamples,
     agent: int,
     mode: CompressionMode = CompressionMode.default(),
+    values: list[dict[int, np.ndarray]] | None = None,
 ) -> tuple[list[int], dict[int, tuple[Coalition, ...]]]:
     """One agent's compression indices and the coalitions that recruited them.
 
     For each coalition S' the agent may join, solve the feasibility program
     that pins S' at the agent's sampled maximum while every other coalition
     of the agent keeps its inequality; feasibility marks the maximizing
-    sample as essential.
+    sample as essential.  ``values`` is the sample set's
+    :func:`scenario_core.value_table`, evaluated here when not given.
     """
     allowed = spec.allowed(agent)
-    maxima = _agent_maxima(spec, samples, agent)
+    if values is None:
+        values = scenario_core.value_table(spec, samples)
+    maxima = {}  # coalition mask -> (sampled max, argmax index)
+    for mask, vals in values[agent].items():
+        k = int(np.argmax(vals))  # ties resolve to the lowest index
+        maxima[mask] = (float(vals[k]), k)
     n = spec.n_agents
     picked: dict[int, list[Coalition]] = {}
     for pinned in allowed:
@@ -151,25 +148,32 @@ def compress_all(
     mode: CompressionMode = CompressionMode.default(),
 ) -> CompressionSet:
     """Run the per-agent compression for every agent and merge the results."""
+    values = scenario_core.value_table(spec, samples)
     per_agent = []
     recruiters = []
     for agent in range(spec.n_agents):
-        indices, rec = compress_agent(spec, samples, agent, mode)
+        indices, rec = compress_agent(spec, samples, agent, mode, values)
         per_agent.append(tuple(indices))
         recruiters.append(rec)
     return CompressionSet(tuple(per_agent), tuple(recruiters), mode.tag)
 
 
 def rebuild_bounds(
-    spec: GameSpec, samples: PrivateSamples, selection: tuple[tuple[int, ...], ...]
+    spec: GameSpec,
+    samples: PrivateSamples,
+    selection: tuple[tuple[int, ...], ...],
+    values: list[dict[int, np.ndarray]] | None = None,
 ) -> dict[int, float]:
     """Tightened bounds recomputed from a per-agent subset of samples.
 
-    Values are evaluated over each agent's full sample matrix and then
-    restricted, so a retained sample contributes bit-identically the value
-    it contributed to the full bounds.  Coalitions none of whose members
-    retained a sample get ``-inf`` (their constraint vanishes).
+    Values come from the full sample set's value table (``values``, or
+    evaluated here) and are then restricted, so a retained sample
+    contributes bit-identically the value it contributed to the full
+    bounds.  Coalitions none of whose members retained a sample get
+    ``-inf`` (their constraint vanishes).
     """
+    if values is None:
+        values = scenario_core.value_table(spec, samples)
     out: dict[int, float] = {}
     for coalition in enumerate_subcoalitions(spec):
         best = -np.inf
@@ -177,8 +181,7 @@ def rebuild_bounds(
             idx = list(selection[agent])
             if not idx:
                 continue
-            vals = spec.value_model.value_batch(coalition, samples.per_agent[agent])
-            best = max(best, float(vals[idx].max()))
+            best = max(best, float(values[agent][coalition.mask][idx].max()))
         out[coalition.mask] = best
     return out
 
@@ -277,13 +280,7 @@ def brute_force_min_compression(spec: GameSpec, samples: PrivateSamples) -> Comp
             f"brute-force search is guarded to <= {BRUTE_FORCE_GUARD} samples"
         )
     full = scenario_core.tighten(spec, samples)
-    values = [
-        {
-            c.mask: spec.value_model.value_batch(c, samples.per_agent[agent])
-            for c in spec.allowed(agent)
-        }
-        for agent in range(samples.n_agents)
-    ]
+    values = scenario_core.value_table(spec, samples)
     core_empty = scenario_core.is_empty(scenario_core.build(spec, full))
     needed = [] if core_empty else _witness_sets(spec, samples, values, full)
     universe = [
@@ -300,7 +297,7 @@ def brute_force_min_compression(spec: GameSpec, samples: PrivateSamples) -> Comp
                 tuple(k for a, k in subset if a == agent)
                 for agent in range(samples.n_agents)
             )
-            rebuilt = rebuild_bounds(spec, samples, selection)
+            rebuilt = rebuild_bounds(spec, samples, selection, values)
             if _same_core_set(spec, full, rebuilt):
                 recruiters = tuple({} for _ in range(samples.n_agents))
                 return CompressionSet(selection, recruiters, mode_tag="brute-force")

@@ -178,9 +178,6 @@ class PrivateSamples:
     def dim(self) -> int:
         return self.per_agent[0].shape[1]
 
-    def sample(self, agent: int, index: int) -> np.ndarray:
-        return self.per_agent[agent][index]
-
 
 def _sample_rng(master_seed: int, agent: int, index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(_PRIVATE_TAG, agent, index))

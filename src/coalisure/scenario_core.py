@@ -50,9 +50,6 @@ class TightenedBounds:
         e = self.entries[coalition.mask]
         return (e.witness_agent, e.witness_index)
 
-    def agent_value(self, coalition: Coalition, agent: int) -> float:
-        return self.entries[coalition.mask].per_agent[agent]
-
     def coalitions(self) -> list[Coalition]:
         return [Coalition(m) for m in sorted(self.entries)]
 
@@ -92,12 +89,12 @@ class ScenarioCoreDesc:
         }
 
 
-def tighten(spec: GameSpec, samples: PrivateSamples) -> TightenedBounds:
-    """Compute every coalition's tightened bound from the private samples.
+def value_table(spec: GameSpec, samples: PrivateSamples) -> list[dict[int, np.ndarray]]:
+    """u_S at every agent's own samples: ``table[i][S.mask][k] = u_S(xi_i^(k))``
+    for each coalition S agent i may join.
 
-    Every member agent contributes (its allowed structure holds every
-    coalition containing it); argmax ties break toward the lowest
-    (agent, sample) pair.
+    Evaluated one coalition at a time, so every consumer sees the values
+    bit for bit as a direct ``value_batch`` call would give them.
     """
     if samples.n_agents != spec.n_agents:
         raise GameSpecError(
@@ -105,13 +102,27 @@ def tighten(spec: GameSpec, samples: PrivateSamples) -> TightenedBounds:
         )
     if samples.dim != spec.uncertainty_dim:
         raise GameSpecError("sample dimension does not match the value model")
+    return [
+        {c.mask: spec.value_model.value_batch(c, samples.per_agent[agent]) for c in spec.allowed(agent)}
+        for agent in range(spec.n_agents)
+    ]
+
+
+def tighten(spec: GameSpec, samples: PrivateSamples) -> TightenedBounds:
+    """Compute every coalition's tightened bound from the private samples.
+
+    Every member agent contributes (its allowed structure holds every
+    coalition containing it); argmax ties break toward the lowest
+    (agent, sample) pair.
+    """
+    values = value_table(spec, samples)
     entries: dict[int, BoundEntry] = {}
     for coalition in enumerate_subcoalitions(spec):
         best = -np.inf
         who = None
         per_agent: dict[int, float] = {}
         for agent in coalition.members:
-            vals = spec.value_model.value_batch(coalition, samples.per_agent[agent])
+            vals = values[agent][coalition.mask]
             k = int(np.argmax(vals))
             per_agent[agent] = float(vals[k])
             if who is None or vals[k] > best:

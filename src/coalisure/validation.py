@@ -1,4 +1,8 @@
-"""Monte Carlo estimation of instability probabilities and coverage runs.
+"""Certificate methods, Monte Carlo estimation of instability, and coverage runs.
+
+``METHODS`` is the one table of certificate methods, used by the CLI and
+by every coverage trial; a :class:`SampleSet` computes the points and
+complexities the methods read at most once per private multi-sample.
 
 Two estimators and one harness:
 
@@ -20,18 +24,19 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
+from operator import attrgetter
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv
 
 from . import compression, risk, scenario_core, zeta_core
 from .errors import CoalisureError, ConfigError, EmptyCoreError
 from .game import GameSpec, enumerate_subcoalitions
-from .sampling import DistributionSpec, draw_fresh, draw_private
+from .sampling import DistributionSpec, PrivateSamples, draw_fresh, draw_private
 
 _TRIAL_TAG = 0x7B1A15
-_FRESH_TAG = 0x3D11
 
 CP_CONFIDENCE = 0.99
 
@@ -41,9 +46,118 @@ def clopper_pearson(hits: int, n: int, confidence: float = CP_CONFIDENCE) -> tup
     if not 0 <= hits <= n or n < 1:
         raise CoalisureError("need 0 <= hits <= n with n >= 1")
     alpha = 1.0 - confidence
-    lo = 0.0 if hits == 0 else float(beta_dist.ppf(alpha / 2.0, hits, n - hits + 1))
-    hi = 1.0 if hits == n else float(beta_dist.ppf(1.0 - alpha / 2.0, hits + 1, n - hits))
+    lo = 0.0 if hits == 0 else float(betaincinv(hits, n - hits + 1, alpha / 2.0))
+    hi = 1.0 if hits == n else float(betaincinv(hits + 1, n - hits, 1.0 - alpha / 2.0))
     return lo, hi
+
+
+@dataclass(eq=False)
+class SampleSet:
+    """Everything one private multi-sample determines, each computed at most
+    once: the scenario core, its lexicographic allocation, the compression
+    set and the slack-minimizing solution.  Every coverage trial builds its
+    own, so threads share none."""
+
+    spec: GameSpec
+    samples: PrivateSamples
+    mode: compression.CompressionMode
+
+    @cached_property
+    def core(self) -> scenario_core.ScenarioCoreDesc:
+        return scenario_core.build(self.spec, scenario_core.tighten(self.spec, self.samples))
+
+    @cached_property
+    def allocation(self) -> np.ndarray:
+        return scenario_core.lexicographic_allocation(self.core)
+
+    @cached_property
+    def compression(self) -> compression.CompressionSet:
+        return compression.compress_all(self.spec, self.samples, self.mode)
+
+    @cached_property
+    def zeta(self) -> zeta_core.ZetaSolution:
+        return zeta_core.solve_zeta_program(self.spec, self.samples)
+
+
+@dataclass(frozen=True)
+class Method:
+    """One certificate method.  ``point`` and ``complexity`` are attribute
+    paths into a :class:`SampleSet`: the point whose out-of-sample
+    instability the certificate bounds and the per-agent counts it reads
+    (``None``: an a priori statement).  ``certificate(config, counts,
+    seed)`` builds it; ``derives_beta``: its confidence is an output."""
+
+    point: str
+    certificate: Callable[..., risk.RiskCertificate]
+    complexity: str | None = None
+    derives_beta: bool = False
+
+    @property
+    def needs_samples(self) -> bool:
+        return self.complexity is not None
+
+    def counts(self, sampled: SampleSet | None) -> tuple[int, ...] | None:
+        return attrgetter(self.complexity)(sampled) if self.needs_samples else None
+
+
+# Certificates call risk and zeta_core through their module attributes at
+# call time, never through stored function objects, so a caller that
+# rebinds those attributes sees every call.
+def _compression_provenance(config, seed) -> dict:
+    return {"seed": seed, "compression": config.compression_mode.tag}
+
+
+def _support_rank_bound(config, counts, seed) -> risk.RiskCertificate:
+    if config.epsilon is None:
+        raise ConfigError("allocation-apriori needs 'epsilon' in the config")
+    n = config.spec.n_agents
+    ranks = [risk.support_rank(config.spec, i) for i in range(n)]
+    return risk.a_priori_allocation_bound([config.epsilon / n] * n, config.counts, ranks)
+
+
+METHODS: dict[str, Method] = {
+    risk.METHOD_CORE_APOSTERIORI: Method(
+        "core",
+        lambda config, s, seed: risk.a_posteriori_core_bound(
+            config.split(), s, config.counts, provenance=_compression_provenance(config, seed)
+        ),
+        "compression.cardinalities",
+    ),
+    risk.METHOD_CORE_APRIORI: Method(
+        "core", lambda config, s, seed: risk.a_priori_core_bound(config.split(), config.counts)
+    ),
+    risk.METHOD_ALLOCATION_APRIORI: Method("allocation", _support_rank_bound, derives_beta=True),
+    risk.METHOD_ALLOCATION_APOSTERIORI: Method(
+        "allocation",
+        lambda config, s, seed: risk.a_posteriori_allocation_bound(
+            config.split(), s, config.counts, provenance=_compression_provenance(config, seed)
+        ),
+        "compression.cardinalities",
+    ),
+    risk.METHOD_ALLOCATION_APRIORI_BUDGET: Method(
+        "allocation",
+        lambda config, s, seed: risk.a_priori_allocation_bound_budget(config.split(), config.counts),
+    ),
+    risk.METHOD_RELAXED_ALLOCATION: Method(
+        "zeta.x_star",
+        lambda config, s, seed: zeta_core.zeta_certificate(
+            config.split(),
+            s,
+            config.counts,
+            config.spec.n_agents,
+            assumption_continuous=not config.dist.possibly_degenerate,
+            provenance={"seed": seed},
+        ),
+        "zeta.s_star",
+    ),
+}
+
+
+def certify(method: str, config, sampled: SampleSet | None, seed: int) -> risk.RiskCertificate:
+    """The method's certificate, reading its complexity from ``sampled``
+    (which may be ``None`` for a priori methods)."""
+    entry = METHODS[method]
+    return entry.certificate(config, entry.counts(sampled), seed)
 
 
 @dataclass(frozen=True)
@@ -129,11 +243,11 @@ class TrialResult:
     trial: int
     master_seed: int
     fresh_seed: int
-    epsilon: float | None
-    p_hat: float | None
-    cp_lower: float | None
-    cp_upper: float | None
-    exceeded: bool | None
+    epsilon: float | None = None
+    p_hat: float | None = None
+    cp_lower: float | None = None
+    cp_upper: float | None = None
+    exceeded: bool | None = None
     s_values: tuple[int, ...] | None = None
     error: str | None = None
 
@@ -224,12 +338,17 @@ class CoverageConfig:
     )
 
     def __post_init__(self):
-        if self.method not in risk.ALL_METHODS:
+        if self.method not in METHODS:
             raise ConfigError(f"unknown certificate method {self.method!r}")
         if len(self.counts) != self.spec.n_agents:
             raise ConfigError("counts must cover every agent")
         if self.method == risk.METHOD_ALLOCATION_APRIORI and self.epsilon is None:
             raise ConfigError("the support-rank method needs a total epsilon")
+        if self.n_trials < 1 or self.n_fresh < 1:
+            raise ConfigError("a coverage run needs at least one trial and one fresh draw")
+
+    def split(self) -> risk.BetaSplit:
+        return risk.BetaSplit.make(self.beta, self.spec.n_agents, self.beta_split, self.counts)
 
 
 def trial_seeds(seed: int, trial: int) -> tuple[int, int]:
@@ -239,62 +358,19 @@ def trial_seeds(seed: int, trial: int) -> tuple[int, int]:
     return int(a), int(b)
 
 
-def _split(config: CoverageConfig) -> risk.BetaSplit:
-    return risk.BetaSplit.make(
-        config.beta, config.spec.n_agents, config.beta_split, config.counts
-    )
-
-
 def run_trial(config: CoverageConfig, trial: int) -> TrialResult:
+    """One trial: draw a private multi-sample, compute the method's point,
+    then its certificate, then the point's estimated instability."""
     master_seed, fresh_seed = trial_seeds(config.seed, trial)
-    spec = config.spec
+    method = METHODS[config.method]
     try:
-        samples = draw_private(config.dist, config.counts, master_seed)
-        method = config.method
-        s_values: tuple[int, ...] | None = None
-
-        if method in (risk.METHOD_CORE_APOSTERIORI, risk.METHOD_CORE_APRIORI):
-            core = scenario_core.build(spec, scenario_core.tighten(spec, samples))
-            if method == risk.METHOD_CORE_APOSTERIORI:
-                cset = compression.compress_all(spec, samples, config.compression_mode)
-                s_values = cset.cardinalities
-                cert = risk.a_posteriori_core_bound(_split(config), s_values, config.counts)
-            else:
-                cert = risk.a_priori_core_bound(_split(config), config.counts)
-            est = estimate_core_instability(spec, core, config.dist, config.n_fresh, fresh_seed)
-
-        elif method in (
-            risk.METHOD_ALLOCATION_APOSTERIORI,
-            risk.METHOD_ALLOCATION_APRIORI,
-            risk.METHOD_ALLOCATION_APRIORI_BUDGET,
-        ):
-            core = scenario_core.build(spec, scenario_core.tighten(spec, samples))
-            x_star = scenario_core.lexicographic_allocation(core)
-            if method == risk.METHOD_ALLOCATION_APOSTERIORI:
-                cset = compression.compress_all(spec, samples, config.compression_mode)
-                s_values = cset.cardinalities
-                cert = risk.a_posteriori_allocation_bound(_split(config), s_values, config.counts)
-            elif method == risk.METHOD_ALLOCATION_APRIORI:
-                n = spec.n_agents
-                eps_split = [config.epsilon / n] * n
-                ranks = [risk.support_rank(spec, i) for i in range(n)]
-                cert = risk.a_priori_allocation_bound(eps_split, config.counts, ranks)
-            else:
-                cert = risk.a_priori_allocation_bound_budget(_split(config), config.counts)
-            est = estimate_allocation_instability(spec, x_star, config.dist, config.n_fresh, fresh_seed)
-
-        else:  # relaxed-allocation
-            sol = zeta_core.solve_zeta_program(spec, samples)
-            s_values = sol.s_star
-            cert = zeta_core.zeta_certificate(
-                _split(config),
-                sol.s_star,
-                config.counts,
-                spec.n_agents,
-                assumption_continuous=not config.dist.possibly_degenerate,
-            )
-            est = estimate_allocation_instability(spec, sol.x_star, config.dist, config.n_fresh, fresh_seed)
-
+        sampled = SampleSet(
+            config.spec, draw_private(config.dist, config.counts, master_seed), config.compression_mode
+        )
+        point = attrgetter(method.point)(sampled)
+        cert = certify(config.method, config, sampled, master_seed)
+        estimate = estimate_core_instability if method.point == "core" else estimate_allocation_instability
+        est = estimate(config.spec, point, config.dist, config.n_fresh, fresh_seed)
         return TrialResult(
             trial=trial,
             master_seed=master_seed,
@@ -304,20 +380,10 @@ def run_trial(config: CoverageConfig, trial: int) -> TrialResult:
             cp_lower=est.lower,
             cp_upper=est.upper,
             exceeded=bool(est.lower > cert.epsilon),
-            s_values=s_values,
+            s_values=method.counts(sampled),
         )
     except CoalisureError as exc:
-        return TrialResult(
-            trial=trial,
-            master_seed=master_seed,
-            fresh_seed=fresh_seed,
-            epsilon=None,
-            p_hat=None,
-            cp_lower=None,
-            cp_upper=None,
-            exceeded=None,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return TrialResult(trial, master_seed, fresh_seed, error=f"{type(exc).__name__}: {exc}")
 
 
 def worker_count() -> int:
@@ -343,16 +409,10 @@ def coverage_experiment(config: CoverageConfig) -> CoverageReport:
         results = [run_trial(config, t) for t in indices]
     results.sort(key=lambda r: r.trial)
     beta = config.beta
-    if config.method == risk.METHOD_ALLOCATION_APRIORI:
-        # the support-rank method derives its confidence from (K, eps, rank),
-        # which does not depend on the drawn samples
-        n = config.spec.n_agents
-        cert = risk.a_priori_allocation_bound(
-            [config.epsilon / n] * n,
-            config.counts,
-            [risk.support_rank(config.spec, i) for i in range(n)],
-        )
-        beta = cert.beta
+    if METHODS[config.method].derives_beta:
+        # a confidence derived from (K, eps, rank) does not depend on the
+        # drawn samples, so one certificate stands for every trial
+        beta = certify(config.method, config, None, config.seed).beta
     return CoverageReport(
         method=config.method,
         beta=beta,

@@ -35,7 +35,7 @@ from .risk import (
     solve_campi_polynomial,
 )
 from .sampling import PrivateSamples
-from .scenario_core import TightenedBounds
+from .scenario_core import TightenedBounds, value_table
 
 POSITIVE_SLACK_TOL = 1e-7
 _TIE_TOL = 1e-9
@@ -69,15 +69,12 @@ class ZetaSolution:
 
 def _sample_values(spec: GameSpec, samples: PrivateSamples):
     """values[i] is a (K_i, |allowed(i)|) matrix of u_S(xi_i^(k))."""
-    values = []
-    allowed = []
-    for agent in range(spec.n_agents):
-        cs = spec.allowed(agent)
-        allowed.append(cs)
-        cols = [
-            spec.value_model.value_batch(c, samples.per_agent[agent]) for c in cs
-        ]
-        values.append(np.column_stack(cols) if cols else np.zeros((samples.counts[agent], 0)))
+    table = value_table(spec, samples)
+    allowed = [spec.allowed(agent) for agent in range(spec.n_agents)]
+    values = [
+        np.column_stack([table[agent][c.mask] for c in cs]) if cs else np.zeros((samples.counts[agent], 0))
+        for agent, cs in enumerate(allowed)
+    ]
     return values, allowed
 
 
@@ -107,16 +104,15 @@ def solve_zeta_program(spec: GameSpec, samples: PrivateSamples) -> ZetaSolution:
     zeta_offset = np.concatenate([[0], np.cumsum(counts)])[:-1]
     n_vars = n + total_k
 
-    # active rows (agent, sample, coalition position) seeded with each
+    # active rows (agent, sample, coalition position) seeded coalition-major
+    # (the row order is part of the program HiGHS solves) with each
     # coalition's currently-binding sample per member agent
+    position = [{c.mask: pos for pos, c in enumerate(cs)} for cs in allowed]
     active: list[tuple[int, int, int]] = []
     seen = set()
     for coalition in enumerate_subcoalitions(spec):
         for agent in coalition.members:
-            try:
-                pos = allowed[agent].index(coalition)
-            except ValueError:
-                continue
+            pos = position[agent][coalition.mask]
             k = int(np.argmax(values[agent][:, pos]))
             key = (agent, k, pos)
             if key not in seen:
