@@ -124,6 +124,8 @@ def load_config(path: Path) -> ExperimentConfig:
         raise ConfigError("beta must lie in (0,1)")
     beta_split = doc.get("beta_split", "equal")
     if isinstance(beta_split, list):
+        if len(beta_split) != spec.n_agents or any(type(b) not in (int, float) for b in beta_split):
+            raise ConfigError("beta_split list must hold one number per agent")
         beta_split = tuple(float(b) for b in beta_split)
     elif beta_split not in ("equal", "proportional"):
         raise ConfigError("beta_split must be 'equal', 'proportional', or a list")

@@ -34,7 +34,8 @@ class GuardError(CoalisureError):
 
 
 class NoRootError(CoalisureError):
-    """A sign-bracketing scan found no root; carries the scan trace."""
+    """A root search found no sign change; carries the points it evaluated
+    (``scan_points``, in order) and the function's sign at each (``scan_signs``)."""
 
     def __init__(self, message, scan_points=None, scan_signs=None):
         super().__init__(message)

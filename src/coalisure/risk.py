@@ -26,7 +26,7 @@ from math import log
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betainc, gammaln
+from scipy.special import gammaln
 
 from .errors import CoalisureError, GameSpecError, NoRootError
 from .game import GameSpec, subcoalition_budget
@@ -47,7 +47,6 @@ ALL_METHODS = (
     METHOD_RELAXED_ALLOCATION,
 )
 
-_RANK_PIVOT_TOL = 1e-10
 # target comfortably inside the 1e-10 contract so the residual holds under
 # independent re-evaluation too
 _ROOT_RESIDUAL_TOL = 5e-11
@@ -286,22 +285,7 @@ def support_rank(spec: GameSpec, agent: int) -> int:
     allowed = spec.allowed(agent)
     if not allowed:
         raise GameSpecError(f"agent {agent + 1} has no allowed coalitions")
-    m = np.array([c.indicator(spec.n_agents) for c in allowed])
-    rows, cols = m.shape
-    rank = 0
-    for col in range(cols):
-        pivot = rank + int(np.argmax(np.abs(m[rank:, col])))
-        if abs(m[pivot, col]) <= _RANK_PIVOT_TOL:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        m[rank] /= m[rank, col]
-        for r in range(rows):
-            if r != rank and abs(m[r, col]) > _RANK_PIVOT_TOL:
-                m[r] -= m[r, col] * m[rank]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return int(np.linalg.matrix_rank(np.array([c.indicator(spec.n_agents) for c in allowed])))
 
 
 def beta_from_support_rank(k_total: int, eps_i: float, rho_i: int) -> float:
@@ -422,12 +406,23 @@ def a_priori_allocation_bound_budget(
 
 # --- the relaxed-core polynomial -------------------------------------------
 
+def _lse(lc: np.ndarray, pw: np.ndarray, logt: np.ndarray) -> np.ndarray:
+    """log sum_j exp(lc_j + pw_j log t) for each entry of log t."""
+    m = lc[None, :] + pw[None, :] * logt[:, None]
+    peak = m.max(axis=1)
+    return peak + np.log(np.exp(m - peak[:, None]).sum(axis=1))
+
+
 class _PolyTerms:
     """Precomputed log-domain coefficients of the certificate polynomial
 
         h(t) = C(K,s) t^(K-s)
              - beta/(2N)  sum_{j=s}^{K-1}   C(j,s) t^(j-s)
              - beta/(6K)  sum_{j=K+1}^{4K}  C(j,s) t^(j-s).
+
+    Divided by its leading term, h/lead = 1 - r(t) with r(e^u) =
+    sum_j w_j e^((j-K)u) and every w_j > 0: a convex function of u that
+    grows without bound as u goes to either end.
     """
 
     def __init__(self, k_total: int, s: int, beta_i: float, n_agents: int):
@@ -441,19 +436,16 @@ class _PolyTerms:
         self.pw_tail = (js_tail - s).astype(float)
         self.log_w_mid = log(beta_i / (2.0 * n_agents))
         self.log_w_tail = log(beta_i / (6.0 * k_total))
+        # log |j - K|, the factor d/d(log t) brings down on each term of r
+        self.ld_mid = np.log(k_total - js_mid)
+        self.ld_tail = np.log(js_tail - k_total)
 
     def log_parts(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(log positive part, log negative part) via log-sum-exp."""
         logt = np.log(ts)
         log_pos = self.log_lead + (self.k_total - self.s) * logt
-
-        def lse(lc, pw):
-            m = lc[None, :] + pw[None, :] * logt[:, None]
-            peak = m.max(axis=1)
-            return peak + np.log(np.exp(m - peak[:, None]).sum(axis=1))
-
-        mid = self.log_w_mid + lse(self.lc_mid, self.pw_mid)
-        tail = self.log_w_tail + lse(self.lc_tail, self.pw_tail)
+        mid = self.log_w_mid + _lse(self.lc_mid, self.pw_mid, logt)
+        tail = self.log_w_tail + _lse(self.lc_tail, self.pw_tail, logt)
         return log_pos, np.logaddexp(mid, tail)
 
     def normalized(self, ts) -> np.ndarray:
@@ -462,44 +454,20 @@ class _PolyTerms:
         with np.errstate(over="ignore"):
             return 1.0 - np.exp(log_neg - log_pos)
 
+    def rising(self, t: float) -> bool:
+        """Whether r increases with log t at t.
+
+        d r / d(log t) = sum_j w_j (j - K) t^(j-K): the tail terms (j > K)
+        push it up and the middle terms (j < K) pull it down.
+        """
+        logt = np.log(np.atleast_1d(float(t)))
+        up = self.log_w_tail + _lse(self.lc_tail + self.ld_tail, self.pw_tail, logt)
+        down = self.log_w_mid + _lse(self.lc_mid + self.ld_mid, self.pw_mid, logt)
+        return bool(up[0] > down[0])
+
 
 def _poly_normalized(ts, k_total, s, beta_i, n_agents) -> np.ndarray:
     return _PolyTerms(k_total, s, beta_i, n_agents).normalized(ts)
-
-
-def _poly_signs_fast(ts: np.ndarray, k_total: int, s: int, beta_i: float, n_agents: int) -> np.ndarray:
-    """Signs of h on a grid via the negative-binomial closed form of the sums.
-
-    ``sum_{j=s}^{M} C(j,s) t^(j-s) = I_{1-t}(s+1, M-s+1) / (1-t)^(s+1)``
-    collapses each sum to one incomplete-beta call.  Points where the
-    factor ``(1-t)^(s+1)`` underflows fall back to the log-sum-exp route.
-    """
-    signs = np.empty(ts.size)
-    one_m = 1.0 - ts
-    safe = (s + 1) * np.log(np.maximum(one_m, 1e-300)) > -600.0  # overflow guard
-    if safe.any():
-        t_s = ts[safe]
-        log_pos = log_binom(k_total, s) + (k_total - s) * np.log(t_s)
-        om = 1.0 - t_s
-        scale = (s + 1) * np.log(om)
-        a = s + 1
-        b_lo, b_hi = k_total - s + 1, 4 * k_total - s + 1
-        cdf_lo = betainc(a, b_lo, om)
-        # difference of two saturating CDFs: switch to the survival side
-        # where it cancels, I_x(a,b) = 1 - I_{1-x}(b,a)
-        diff_cdf = betainc(a, b_hi, om) - cdf_lo
-        diff_sf = betainc(b_lo, a, t_s) - betainc(b_hi, a, t_s)
-        tail_diff = np.where(cdf_lo > 0.5, diff_sf, diff_cdf)
-        with np.errstate(divide="ignore"):
-            mid = np.log(betainc(a, k_total - s, om)) - scale
-            tail = np.log(np.maximum(tail_diff, 0.0)) - scale
-        neg = np.logaddexp(log(beta_i / (2.0 * n_agents)) + mid, log(beta_i / (6.0 * k_total)) + tail)
-        signs[safe] = np.sign(log_pos - neg)
-    rest = ~safe
-    if rest.any():
-        log_pos, log_neg = _PolyTerms(k_total, s, beta_i, n_agents).log_parts(ts[rest])
-        signs[rest] = np.sign(log_pos - log_neg)
-    return signs
 
 
 def solve_campi_polynomial(
@@ -507,15 +475,19 @@ def solve_campi_polynomial(
 ) -> tuple[float, float]:
     """Smallest nonnegative root t of the certificate polynomial, and 1 - t.
 
-    The root is bracketed by a sign scan over (0, 1] at resolution
-    1/(64 K), then bisected until the bracket is narrower than 1e-12 and
-    the leading-term-normalized polynomial value at the root is below
-    1e-10 in magnitude.  (The raw polynomial spans hundreds of orders of
-    magnitude, so the residual is measured on the normalized form, which
-    has the same roots.)  For s = K the root is 0 by convention.
+    h/lead = 1 - r(t), and r is convex in u = log t and unbounded at both
+    ends (see :class:`_PolyTerms`), so {h > 0} is one interval, possibly
+    empty, and the smallest root is where r falls through 1.  Starting at
+    t = 1, the search bisects towards the minimum of r on the sign of
+    dr/d(log t) and stops at the first t with h(t) > 0; the bracket (0, t]
+    is then bisected until it is narrower than 1e-12 and h/lead at the root
+    is below 1e-10 in magnitude (the raw polynomial spans hundreds of orders
+    of magnitude; h/lead has the same roots).  For s = K the root is 0 by
+    convention.
 
-    Raises :class:`NoRootError`, with the scan trace attached, when the
-    polynomial never turns positive on the grid.
+    Raises :class:`NoRootError` when r is still falling at t = 1, or when
+    the search closes in on the minimum of r without h turning positive;
+    the error carries the points evaluated and the sign of h at each.
     """
     k_total, s, n_agents = int(k_total), int(s), int(n_agents)
     if k_total < 1 or n_agents < 1:
@@ -527,36 +499,24 @@ def solve_campi_polynomial(
     if s == k_total:
         return 0.0, 1.0
 
-    n_pts = 64 * k_total
-    ts = np.arange(1, n_pts + 1) / n_pts
-    signs = _poly_signs_fast(ts, k_total, s, beta_i, n_agents)
     terms = _PolyTerms(k_total, s, beta_i, n_agents)
-
-    def exact_sign(t: float) -> float:
-        return np.sign(float(terms.normalized(t)[0]))
-
-    # the fast evaluator can misjudge points a hair from a root: confirm the
-    # bracket with the log-sum-exp evaluation, which is authoritative
-    first = -1
-    for idx in np.flatnonzero(signs > 0):
-        if exact_sign(float(ts[idx])) > 0:
-            first = int(idx)
-            break
-    if first < 0:
-        log_pos, log_neg = terms.log_parts(ts)
-        exact = np.sign(log_pos - log_neg)
-        positive = np.flatnonzero(exact > 0)
-        if positive.size == 0:
+    points, values = [], []
+    left, right, hi = 0.0, 1.0, 1.0
+    while (val := float(terms.normalized(hi)[0])) <= 0.0:
+        points.append(hi)
+        values.append(val)
+        if terms.rising(hi):
+            right = hi
+        else:
+            left = hi  # at t = 1 this collapses the bracket at once
+        hi = 0.5 * (left + right)
+        if hi == left or hi == right:
             raise NoRootError(
                 f"no sign change on (0,1] for K={k_total}, s={s}, beta={beta_i}, N={n_agents}",
-                scan_points=ts,
-                scan_signs=exact,
+                scan_points=np.array(points),
+                scan_signs=np.sign(values),
             )
-        first = int(positive[0])
-    while first > 0 and exact_sign(float(ts[first - 1])) > 0:
-        first -= 1
-    lo = 0.0 if first == 0 else float(ts[first - 1])
-    hi = float(ts[first])
+    lo = 0.0
 
     # the polynomial is strictly negative at 0+, so (lo, hi] brackets a root;
     # the returned point is always one at which the residual was measured

@@ -2,19 +2,22 @@
 
 Everything here deliberately avoids the library's own computational paths:
 exact rational arithmetic for vertex enumeration, double loops for maxima,
-grid search for emptiness, and high-precision term summation for the
-certificate polynomial.
+grid search for emptiness, and high-precision term summation and an
+incomplete-beta sign evaluator for the certificate polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import log
 
 import mpmath as mp
 import numpy as np
+from scipy.special import betainc
 
 from coalisure.game import Coalition, GameSpec, ValueModel
+from coalisure.risk import _PolyTerms, log_binom
 
 
 # --- instance generators -----------------------------------------------------
@@ -208,6 +211,41 @@ def mp_poly_normalized(t, k_total, s, beta, n_agents, dps=50):
         )
         h = lead - beta / (2 * n_agents) * mid - beta / (6 * k_total) * tail
         return float(h / lead)
+
+
+def _poly_signs_fast(ts: np.ndarray, k_total: int, s: int, beta_i: float, n_agents: int) -> np.ndarray:
+    """Signs of h on a grid via the negative-binomial closed form of the sums.
+
+    ``sum_{j=s}^{M} C(j,s) t^(j-s) = I_{1-t}(s+1, M-s+1) / (1-t)^(s+1)``
+    collapses each sum to one incomplete-beta call.  Points where the
+    factor ``(1-t)^(s+1)`` underflows fall back to the log-sum-exp route.
+    """
+    signs = np.empty(ts.size)
+    one_m = 1.0 - ts
+    safe = (s + 1) * np.log(np.maximum(one_m, 1e-300)) > -600.0  # overflow guard
+    if safe.any():
+        t_s = ts[safe]
+        log_pos = log_binom(k_total, s) + (k_total - s) * np.log(t_s)
+        om = 1.0 - t_s
+        scale = (s + 1) * np.log(om)
+        a = s + 1
+        b_lo, b_hi = k_total - s + 1, 4 * k_total - s + 1
+        cdf_lo = betainc(a, b_lo, om)
+        # difference of two saturating CDFs: switch to the survival side
+        # where it cancels, I_x(a,b) = 1 - I_{1-x}(b,a)
+        diff_cdf = betainc(a, b_hi, om) - cdf_lo
+        diff_sf = betainc(b_lo, a, t_s) - betainc(b_hi, a, t_s)
+        tail_diff = np.where(cdf_lo > 0.5, diff_sf, diff_cdf)
+        with np.errstate(divide="ignore"):
+            mid = np.log(betainc(a, k_total - s, om)) - scale
+            tail = np.log(np.maximum(tail_diff, 0.0)) - scale
+        neg = np.logaddexp(log(beta_i / (2.0 * n_agents)) + mid, log(beta_i / (6.0 * k_total)) + tail)
+        signs[safe] = np.sign(log_pos - neg)
+    rest = ~safe
+    if rest.any():
+        log_pos, log_neg = _PolyTerms(k_total, s, beta_i, n_agents).log_parts(ts[rest])
+        signs[rest] = np.sign(log_pos - log_neg)
+    return signs
 
 
 def mp_closed_form_epsilon(k_total, beta, n_agents, s, dps=50):

@@ -24,6 +24,7 @@ from coalisure.game import Coalition, GameSpec, ValueModel
 from coalisure.sampling import DistributionSpec, draw_private
 
 from oracles import (
+    _poly_signs_fast,
     grid_core_empty,
     mp_closed_form_epsilon,
     mp_poly_normalized,
@@ -208,7 +209,7 @@ class TestCriterion5FormulaFidelity:
             below = grid[grid < t - 1.0 / (64 * k) * 1e-6]
             if below.size == 0:
                 continue
-            signs = risk._poly_signs_fast(below, k, s, beta, n_agents)
+            signs = _poly_signs_fast(below, k, s, beta, n_agents)
             assert (signs < 0).all(), (k, s)
         # and with the log-sum-exp evaluator on the small-K prefix grids
         for k, s in sampled:
