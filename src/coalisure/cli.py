@@ -10,7 +10,8 @@ Subcommands::
     validate   Monte Carlo coverage per method        -> coverage_<method>.{json,csv}
     run-all    generate, core, zeta, certify, compress and validate run in
                sequence on one sample set, so each point and complexity is
-               computed once
+               computed once; validation is trial-major, every trial's
+               sample set and fresh draw serving all methods
 
 Every run is a pure function of the config file plus explicit flag
 overrides: artifacts carry no timestamps and identical inputs produce
@@ -39,7 +40,8 @@ Config schema (JSON object)::
       "master_seed": 20240901,
       "beta": 0.2,                          // total confidence budget, in (0,1)
       "beta_split": "equal" | "proportional" | [b_1, ..., b_N],
-      "epsilon": 0.1,                       // required by allocation-apriori only
+      "epsilon": 0.1,                       // a number in (0,1); required by
+                                            // allocation-apriori only
       "methods": ["core-aposteriori", ...], // any of the six certificate methods
       "validation": {"trials": 200, "n_fresh": 100000, "seed": 7},
       "compression": {"efficiency": true, "nonnegative": false}   // optional
@@ -47,7 +49,8 @@ Config schema (JSON object)::
 
 Sample CSV columns: ``agent_id, sample_index`` (both 1-based) followed by
 the uncertainty components.  The environment variable ``COALISURE_THREADS``
-caps the validation worker count (default 1).
+caps the validation worker count (default 1); workers take trial indices,
+each running all requested methods.
 """
 
 from __future__ import annotations
@@ -146,6 +149,8 @@ def load_config(path: Path) -> ExperimentConfig:
             raise ConfigError(f"validation.{name} must be a positive integer")
     epsilon = doc.get("epsilon")
     if epsilon is not None:
+        if type(epsilon) not in (int, float):
+            raise ConfigError("epsilon must be a number")
         epsilon = float(epsilon)
         if not 0.0 < epsilon < 1.0:
             raise ConfigError("epsilon must lie in (0,1)")
@@ -249,12 +254,12 @@ def _write_zeta(config: ExperimentConfig, out: Path, sampled: validation.SampleS
 def _write_coverage(config: ExperimentConfig, out: Path, methods, trials, fresh) -> list:
     trials = config.trials if trials is None else trials
     fresh = config.n_fresh if fresh is None else fresh
-    reports = []
-    for m in methods:
-        report = validation.coverage_experiment(_coverage_config(config, m, trials, fresh))
-        write_json(out / f"coverage_{m}.json", report.to_json_dict())
-        (out / f"coverage_{m}.csv").write_text(report.to_csv())
-        reports.append(report)
+    reports = validation.coverage_experiments(
+        [_coverage_config(config, m, trials, fresh) for m in methods]
+    )
+    for report in reports:
+        write_json(out / f"coverage_{report.method}.json", report.to_json_dict())
+        (out / f"coverage_{report.method}.csv").write_text(report.to_csv())
     return reports
 
 
@@ -422,7 +427,8 @@ def validate(config_path, out, methods, trials, fresh):
 @_trials_option
 @_fresh_option
 def run_all(config_path, out, seed, methods, trials, fresh):
-    """generate -> core -> zeta -> certify -> compress -> validate on one sample set."""
+    """generate -> core -> zeta -> certify -> compress -> validate on one sample
+    set; validation runs every method on each trial's shared draws."""
 
     def go():
         config = _prepare(config_path, out, seed)

@@ -13,7 +13,7 @@ only in membership queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -25,6 +25,7 @@ from .sampling import PrivateSamples
 
 VERTEX_GUARD_AGENTS = 6
 _VERTEX_DEDUP_TOL = 1e-7
+_VERTEX_BLOCK = 4096  # subsets per batched solve: about 1 MB of systems at N=5
 
 
 @dataclass(frozen=True)
@@ -196,7 +197,12 @@ def vertices(core: ScenarioCoreDesc) -> list[np.ndarray]:
     """All basic feasible points, by exhaustive active-set enumeration.
 
     Guarded to small games: every (N-1)-subset of coalition constraints is
-    solved against the efficiency equality and kept if feasible.
+    solved against the efficiency equality and kept if feasible.  Subsets
+    are streamed in blocks of ``_VERTEX_BLOCK``; each block's systems are
+    stacked and solved in one batched call after masking the singular ones
+    (``slogdet`` sign 0: the same zero-pivot LU test under which a single
+    ``solve`` raises), and duplicates are dropped in enumeration order, so
+    the list equals a one-subset-at-a-time loop bit for bit.
     """
     n = core.n_agents
     if n > VERTEX_GUARD_AGENTS:
@@ -207,24 +213,28 @@ def vertices(core: ScenarioCoreDesc) -> list[np.ndarray]:
     m = a.shape[0]
     if m < n - 1:
         return []
-    ones = np.ones(n)
+    subsets = chain.from_iterable(combinations(range(m), n - 1))
     out: list[np.ndarray] = []
-    for rows in combinations(range(m), n - 1):
-        mat = np.vstack([ones, a[list(rows)]])
-        rhs = np.concatenate([[core.grand_value], b[list(rows)]])
-        try:
-            x = np.linalg.solve(mat, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.isfinite(x).all():
-            continue
-        if (a @ x >= b - 1e-9).all():
+    while True:
+        rows = np.fromiter(islice(subsets, _VERTEX_BLOCK * (n - 1)), dtype=np.intp).reshape(-1, n - 1)
+        if not rows.size:
+            return out
+        mats = np.empty((rows.shape[0], n, n))
+        mats[:, 0] = 1.0
+        mats[:, 1:] = a[rows]
+        rhs = np.empty((rows.shape[0], n))
+        rhs[:, 0] = core.grand_value
+        rhs[:, 1:] = b[rows]
+        regular = np.linalg.slogdet(mats)[0] != 0
+        xs = np.linalg.solve(mats[regular], rhs[regular][..., None])[..., 0]
+        keep = np.isfinite(xs).all(axis=1)
+        keep[keep] = (xs[keep] @ a.T >= b - 1e-9).all(axis=1)
+        for x in xs[keep]:
             for seen in out:
                 if np.abs(seen - x).max() <= _VERTEX_DEDUP_TOL:
                     break
             else:
                 out.append(x)
-    return out
 
 
 def lexicographic_allocation(core: ScenarioCoreDesc) -> np.ndarray:

@@ -15,6 +15,14 @@ Two estimators and one harness:
 * coverage experiments that rebuild the whole pipeline trial after trial
   and compare certified levels against estimated truth.
 
+Coverage runs are trial-major: a trial's seeds depend on the experiment
+seed and the trial index, never on the method, so one trial draws one
+private multi-sample into one :class:`SampleSet` (one core, allocation,
+compression set, ζ solution and set of core minima) and certifies every
+requested method on it.  One fresh draw then serves them all: each
+coalition's fresh values are computed once, compared against every
+distinct point's threshold and dropped.
+
 All estimators are exact binomial experiments, reported with two-sided
 99% Clopper-Pearson intervals.
 """
@@ -23,7 +31,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Sequence
@@ -183,17 +191,47 @@ class ViolationEstimate:
         }
 
 
-def _violation_flags(spec: GameSpec, thresholds: dict[int, float], fresh: np.ndarray) -> np.ndarray:
-    """For each fresh row: does any coalition's value strictly exceed its threshold?"""
-    flags = np.zeros(fresh.shape[0], dtype=bool)
+def _allocation_thresholds(spec: GameSpec, x: Sequence[float]) -> dict[int, float]:
+    """What the allocation pays each coalition, by coalition mask."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (spec.n_agents,):
+        raise CoalisureError("allocation length does not match the agent count")
+    return {c.mask: float(x[list(c.members)].sum()) for c in enumerate_subcoalitions(spec)}
+
+
+def _core_thresholds(core: scenario_core.ScenarioCoreDesc) -> dict[int, float]:
+    """Each coalition's minimum payoff over the core, by coalition mask."""
+    try:
+        return {c.mask: scenario_core.coalition_min(core, c) for c in core.coalitions()}
+    except EmptyCoreError as exc:
+        raise EmptyCoreError("core instability is undefined for an empty core") from exc
+
+
+def estimate_violations(
+    spec: GameSpec,
+    thresholds: Sequence[dict[int, float]],
+    dist: DistributionSpec,
+    n: int,
+    seed: int,
+) -> list[ViolationEstimate]:
+    """For each threshold map: the fraction of ``n`` fresh draws under which
+    some coalition's value strictly exceeds its threshold.
+
+    All maps share one fresh draw and one evaluation of every coalition's
+    values; no values are kept beyond the coalition being compared.
+    """
+    fresh = draw_fresh(dist, n, seed)
+    flags = [np.zeros(fresh.shape[0], dtype=bool) for _ in thresholds]
     for coalition in enumerate_subcoalitions(spec):
-        lim = thresholds[coalition.mask]
-        if np.isneginf(lim):
-            flags[:] = True
-            break
         vals = spec.value_model.value_batch(coalition, fresh)
-        flags |= vals > lim
-    return flags
+        for hit, lims in zip(flags, thresholds):
+            hit |= vals > lims[coalition.mask]
+    out = []
+    for hit in flags:
+        hits = int(hit.sum())
+        lo, hi = clopper_pearson(hits, n)
+        out.append(ViolationEstimate(hits / n, int(n), hits, lo, hi, int(seed)))
+    return out
 
 
 def estimate_allocation_instability(
@@ -201,16 +239,7 @@ def estimate_allocation_instability(
 ) -> ViolationEstimate:
     """Fraction of fresh draws under which some coalition strictly prefers
     defecting from the allocation; ties count as stable."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.n_agents,):
-        raise CoalisureError("allocation length does not match the agent count")
-    thresholds = {
-        c.mask: float(x[list(c.members)].sum()) for c in enumerate_subcoalitions(spec)
-    }
-    fresh = draw_fresh(dist, n, seed)
-    hits = int(_violation_flags(spec, thresholds, fresh).sum())
-    lo, hi = clopper_pearson(hits, n)
-    return ViolationEstimate(hits / n, int(n), hits, lo, hi, int(seed))
+    return estimate_violations(spec, [_allocation_thresholds(spec, x)], dist, n, seed)[0]
 
 
 def estimate_core_instability(
@@ -226,16 +255,7 @@ def estimate_core_instability(
     coalition's minimum payoff over the core, so the per-sample cost after
     the LP precomputation is one affine evaluation per coalition.
     """
-    try:
-        minima = {
-            c.mask: scenario_core.coalition_min(core, c) for c in core.coalitions()
-        }
-    except EmptyCoreError as exc:
-        raise EmptyCoreError("core instability is undefined for an empty core") from exc
-    fresh = draw_fresh(dist, n, seed)
-    hits = int(_violation_flags(spec, minima, fresh).sum())
-    lo, hi = clopper_pearson(hits, n)
-    return ViolationEstimate(hits / n, int(n), hits, lo, hi, int(seed))
+    return estimate_violations(spec, [_core_thresholds(core)], dist, n, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -351,6 +371,9 @@ class CoverageConfig:
         return risk.BetaSplit.make(self.beta, self.spec.n_agents, self.beta_split, self.counts)
 
 
+_SHARED_FIELDS = tuple(f.name for f in fields(CoverageConfig) if f.name != "method")
+
+
 def trial_seeds(seed: int, trial: int) -> tuple[int, int]:
     """Deterministic (private, fresh) seeds for one trial."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_TRIAL_TAG, int(trial)))
@@ -358,32 +381,78 @@ def trial_seeds(seed: int, trial: int) -> tuple[int, int]:
     return int(a), int(b)
 
 
-def run_trial(config: CoverageConfig, trial: int) -> TrialResult:
-    """One trial: draw a private multi-sample, compute the method's point,
-    then its certificate, then the point's estimated instability."""
+def _error(exc: CoalisureError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def trial_results(configs: Sequence[CoverageConfig], trial: int) -> list[TrialResult]:
+    """One trial of every config's method, in the order given.
+
+    The configs differ only in ``method``.  One private multi-sample feeds
+    one :class:`SampleSet`; each method takes its point, then its
+    certificate, then the point's thresholds from it, and a
+    :class:`CoalisureError` on the way is that method's result.  The
+    methods that get through share one fresh draw, with one estimate per
+    distinct point.
+    """
+    config = configs[0]
     master_seed, fresh_seed = trial_seeds(config.seed, trial)
-    method = METHODS[config.method]
     try:
         sampled = SampleSet(
             config.spec, draw_private(config.dist, config.counts, master_seed), config.compression_mode
         )
-        point = attrgetter(method.point)(sampled)
-        cert = certify(config.method, config, sampled, master_seed)
-        estimate = estimate_core_instability if method.point == "core" else estimate_allocation_instability
-        est = estimate(config.spec, point, config.dist, config.n_fresh, fresh_seed)
-        return TrialResult(
-            trial=trial,
-            master_seed=master_seed,
-            fresh_seed=fresh_seed,
-            epsilon=cert.epsilon,
-            p_hat=est.p_hat,
-            cp_lower=est.lower,
-            cp_upper=est.upper,
-            exceeded=bool(est.lower > cert.epsilon),
-            s_values=method.counts(sampled),
-        )
     except CoalisureError as exc:
-        return TrialResult(trial, master_seed, fresh_seed, error=f"{type(exc).__name__}: {exc}")
+        return [TrialResult(trial, master_seed, fresh_seed, error=_error(exc)) for _ in configs]
+    outcomes: list[risk.RiskCertificate | str] = []
+    thresholds: dict[str, dict[int, float]] = {}  # point path -> thresholds
+    for cfg in configs:
+        method = METHODS[cfg.method]
+        try:
+            point = attrgetter(method.point)(sampled)
+            cert = certify(cfg.method, cfg, sampled, master_seed)
+            if method.point not in thresholds:
+                thresholds[method.point] = (
+                    _core_thresholds(point)
+                    if method.point == "core"
+                    else _allocation_thresholds(config.spec, point)
+                )
+            outcomes.append(cert)
+        except CoalisureError as exc:
+            outcomes.append(_error(exc))
+    estimates: dict[str, ViolationEstimate] = {}
+    if thresholds:
+        found = estimate_violations(
+            config.spec, list(thresholds.values()), config.dist, config.n_fresh, fresh_seed
+        )
+        estimates = dict(zip(thresholds, found))
+    results = []
+    for cfg, outcome in zip(configs, outcomes):
+        if isinstance(outcome, str):
+            results.append(TrialResult(trial, master_seed, fresh_seed, error=outcome))
+            continue
+        method = METHODS[cfg.method]
+        est = estimates[method.point]
+        results.append(
+            TrialResult(
+                trial=trial,
+                master_seed=master_seed,
+                fresh_seed=fresh_seed,
+                epsilon=outcome.epsilon,
+                p_hat=est.p_hat,
+                cp_lower=est.lower,
+                cp_upper=est.upper,
+                exceeded=bool(est.lower > outcome.epsilon),
+                s_values=method.counts(sampled),
+            )
+        )
+    return results
+
+
+def run_trial(config: CoverageConfig, trial: int) -> TrialResult:
+    """One trial of one method: draw a private multi-sample, compute the
+    method's point, then its certificate, then the point's estimated
+    instability."""
+    return trial_results([config], trial)[0]
 
 
 def worker_count() -> int:
@@ -394,30 +463,58 @@ def worker_count() -> int:
         return 1
 
 
-def coverage_experiment(config: CoverageConfig) -> CoverageReport:
-    """Run every trial (optionally in a thread pool) and collect the report.
+def _same_experiment(a: CoverageConfig, b: CoverageConfig) -> bool:
+    try:
+        return all(
+            getattr(a, name) is getattr(b, name) or getattr(a, name) == getattr(b, name)
+            for name in _SHARED_FIELDS
+        )
+    except ValueError:  # distinct distribution objects compare arrays element-wise
+        return False
 
-    Per-trial seeds derive from (experiment seed, trial index) alone, so
-    the report is identical whatever the worker count.
-    """
-    workers = worker_count()
-    indices = range(config.n_trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda t: run_trial(config, t), indices))
-    else:
-        results = [run_trial(config, t) for t in indices]
-    results.sort(key=lambda r: r.trial)
-    beta = config.beta
+
+def _report_beta(config: CoverageConfig) -> float:
     if METHODS[config.method].derives_beta:
         # a confidence derived from (K, eps, rank) does not depend on the
         # drawn samples, so one certificate stands for every trial
-        beta = certify(config.method, config, None, config.seed).beta
-    return CoverageReport(
-        method=config.method,
-        beta=beta,
-        n_trials=config.n_trials,
-        n_fresh=config.n_fresh,
-        seed=config.seed,
-        trials=tuple(results),
-    )
+        return certify(config.method, config, None, config.seed).beta
+    return config.beta
+
+
+def coverage_experiments(configs: Sequence[CoverageConfig]) -> list[CoverageReport]:
+    """One report per config, run trial-major: every trial serves all the
+    configs' methods (see :func:`trial_results`).
+
+    The configs must differ only in ``method``.  Trials run in a thread
+    pool of ``COALISURE_THREADS`` workers, each taking whole trial indices;
+    per-trial seeds derive from (experiment seed, trial index) alone, so
+    the reports are identical whatever the worker count.
+    """
+    configs = list(configs)
+    if not configs:
+        return []
+    if not all(_same_experiment(c, configs[0]) for c in configs[1:]):
+        raise ConfigError("coverage configs run together must differ only in method")
+    indices = range(configs[0].n_trials)
+    workers = worker_count()
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            per_trial = list(pool.map(lambda t: trial_results(configs, t), indices))
+    else:
+        per_trial = [trial_results(configs, t) for t in indices]
+    return [
+        CoverageReport(
+            method=config.method,
+            beta=_report_beta(config),
+            n_trials=config.n_trials,
+            n_fresh=config.n_fresh,
+            seed=config.seed,
+            trials=tuple(results[i] for results in per_trial),
+        )
+        for i, config in enumerate(configs)
+    ]
+
+
+def coverage_experiment(config: CoverageConfig) -> CoverageReport:
+    """Run every trial of one method and collect the report."""
+    return coverage_experiments([config])[0]

@@ -1,9 +1,11 @@
 """Independent oracles and instance generators shared by the test modules.
 
 Everything here deliberately avoids the library's own computational paths:
-exact rational arithmetic for vertex enumeration, double loops for maxima,
-grid search for emptiness, and high-precision term summation and an
-incomplete-beta sign evaluator for the certificate polynomial.
+exact rational arithmetic and a one-subset-at-a-time loop for vertex
+enumeration, double loops for maxima, grid search for emptiness,
+high-precision term summation and an incomplete-beta sign evaluator for
+the certificate polynomial, and coverage trials run one method at a time,
+each with its own fresh draw.
 """
 
 from __future__ import annotations
@@ -11,13 +13,18 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import log
+from operator import attrgetter
 
 import mpmath as mp
 import numpy as np
 from scipy.special import betainc
 
+from coalisure import scenario_core, validation
+from coalisure.errors import CoalisureError, EmptyCoreError, GuardError
 from coalisure.game import Coalition, GameSpec, ValueModel
 from coalisure.risk import _PolyTerms, log_binom
+from coalisure.sampling import draw_fresh, draw_private
+from coalisure.scenario_core import _VERTEX_DEDUP_TOL, VERTEX_GUARD_AGENTS
 
 
 # --- instance generators -----------------------------------------------------
@@ -106,6 +113,38 @@ def rational_core_vertices(n_agents, grand_value, coalition_rows, bounds):
         if all(sum(r * v for r, v in zip(row, x)) >= b for row, b in zip(rows, rhs)):
             vertices.add(tuple(x))
     return sorted(vertices)
+
+
+def loop_core_vertices(core):
+    """``scenario_core.vertices`` as one ``np.linalg.solve`` per subset: the
+    reference for the blocked batched enumeration, same output and order."""
+    n = core.n_agents
+    if n > VERTEX_GUARD_AGENTS:
+        raise GuardError(
+            f"vertex enumeration is guarded to <= {VERTEX_GUARD_AGENTS} agents"
+        )
+    a, b = core.constraint_rows()
+    m = a.shape[0]
+    if m < n - 1:
+        return []
+    ones = np.ones(n)
+    out: list[np.ndarray] = []
+    for rows in combinations(range(m), n - 1):
+        mat = np.vstack([ones, a[list(rows)]])
+        rhs = np.concatenate([[core.grand_value], b[list(rows)]])
+        try:
+            x = np.linalg.solve(mat, rhs)
+        except np.linalg.LinAlgError:
+            continue
+        if not np.isfinite(x).all():
+            continue
+        if (a @ x >= b - 1e-9).all():
+            for seen in out:
+                if np.abs(seen - x).max() <= _VERTEX_DEDUP_TOL:
+                    break
+            else:
+                out.append(x)
+    return out
 
 
 def enumerate_lp_vertices(n, a_eq, b_eq, a_ge, b_ge, lower_bounds=None, tol=1e-9):
@@ -255,3 +294,39 @@ def mp_closed_form_epsilon(k_total, beta, n_agents, s, dps=50):
             return 1.0
         base = mp.mpf(repr(float(beta))) / ((n_agents + 1) * mp.binomial(k_total, s))
         return float(1 - base ** (mp.mpf(1) / (k_total - s)))
+
+
+# --- one coverage trial, one method at a time -------------------------------
+
+def per_method_trial(config, trial):
+    """A coverage trial of ``config.method`` alone: its own sample set, its
+    own thresholds, its own fresh draw and one coalition loop over it."""
+    master_seed, fresh_seed = validation.trial_seeds(config.seed, trial)
+    method = validation.METHODS[config.method]
+    try:
+        samples = draw_private(config.dist, config.counts, master_seed)
+        sampled = validation.SampleSet(config.spec, samples, config.compression_mode)
+        point = attrgetter(method.point)(sampled)
+        cert = validation.certify(config.method, config, sampled, master_seed)
+        if method.point == "core":
+            try:
+                lims = {c.mask: scenario_core.coalition_min(point, c) for c in point.coalitions()}
+            except EmptyCoreError as exc:
+                raise EmptyCoreError("core instability is undefined for an empty core") from exc
+        else:
+            lims = {c.mask: float(point[list(c.members)].sum()) for c in config.spec.coalitions}
+        fresh = draw_fresh(config.dist, config.n_fresh, fresh_seed)
+        flags = np.zeros(fresh.shape[0], dtype=bool)
+        for c in config.spec.coalitions:
+            if np.isneginf(lims[c.mask]):
+                flags[:] = True
+                break
+            flags |= config.spec.value_model.value_batch(c, fresh) > lims[c.mask]
+        hits = int(flags.sum())
+        lo, hi = validation.clopper_pearson(hits, config.n_fresh)
+        return validation.TrialResult(
+            trial, master_seed, fresh_seed, cert.epsilon, hits / config.n_fresh, lo, hi,
+            bool(lo > cert.epsilon), method.counts(sampled),
+        )
+    except CoalisureError as exc:
+        return validation.TrialResult(trial, master_seed, fresh_seed, error=f"{type(exc).__name__}: {exc}")
