@@ -16,12 +16,13 @@ statements:
   level (``solve_campi_polynomial``).
 
 Binomial coefficients are evaluated through log-gamma so the formulas stay
-usable at sample counts in the thousands.
+usable at sample counts in the thousands; violation-level tables are cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import log
 from typing import Sequence
 
@@ -142,6 +143,18 @@ class RiskCertificate:
         return doc
 
 
+def _level_table(k_total: int, beta_i: float, log_div: float) -> np.ndarray:
+    """Read-only eps(s) = 1 - (beta_i / (e^log_div C(K,s)))^(1/(K-s)), s < K; eps(K) = 1."""
+    ks = np.arange(0, k_total)
+    table = np.empty(k_total + 1)
+    log_base = log(beta_i) - log_div - log_binom(k_total, ks)
+    table[:k_total] = np.clip(1.0 - np.exp(log_base / (k_total - ks)), 0.0, 1.0)
+    table[k_total] = 1.0
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=256)
 def epsilon_implicit(k_total: int, beta_i: float) -> np.ndarray:
     """Violation-level table eps(k), k = 0..K, from the binomial-sum equation.
 
@@ -159,30 +172,29 @@ def epsilon_implicit(k_total: int, beta_i: float) -> np.ndarray:
         raise CoalisureError("sample count must be >= 1")
     if not 0.0 < beta_i < 1.0:
         raise CoalisureError(f"beta_i must lie in (0,1), got {beta_i}")
-    if k_total == 1:
-        return np.array([1.0 - beta_i, 1.0])
-    ks = np.arange(0, k_total)
-    log_base = log(beta_i) - log(k_total - 1) - log_binom(k_total, ks)
-    eps = 1.0 - np.exp(log_base / (k_total - ks))
-    table = np.empty(k_total + 1)
-    table[:k_total] = np.clip(eps, 0.0, 1.0)
-    table[k_total] = 1.0
+    if k_total > 1:
+        return _level_table(k_total, beta_i, log(k_total - 1))
+    table = np.array([1.0 - beta_i, 1.0])
+    table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=256)
+def _closed_form_table(k_total: int, beta_i: float, n_agents: int) -> np.ndarray:
+    if k_total < 1 or n_agents < 1:
+        raise CoalisureError("sample and agent counts must be >= 1")
+    if not 0.0 < beta_i < 1.0:
+        raise CoalisureError(f"beta_i must lie in (0,1), got {beta_i}")
+    return _level_table(k_total, beta_i, log(n_agents + 1))
 
 
 def epsilon_closed_form(k_total: int, beta_i: float, n_agents: int, s: int) -> float:
     """eps(s) = 1 - (beta / ((N+1) C(K,s)))^(1/(K-s)); eps(K) = 1."""
     k_total, s = int(k_total), int(s)
-    if k_total < 1 or n_agents < 1:
-        raise CoalisureError("sample and agent counts must be >= 1")
-    if not 0.0 < beta_i < 1.0:
-        raise CoalisureError(f"beta_i must lie in (0,1), got {beta_i}")
+    table = _closed_form_table(k_total, beta_i, int(n_agents))
     if not 0 <= s <= k_total:
         raise CoalisureError(f"complexity s={s} outside 0..{k_total}")
-    if s == k_total:
-        return 1.0
-    log_base = log(beta_i) - log(n_agents + 1) - log_binom(k_total, s)
-    return float(np.clip(1.0 - np.exp(log_base / (k_total - s)), 0.0, 1.0))
+    return float(table[s])
 
 
 def _clip_unit(x: float) -> float:
@@ -242,6 +254,22 @@ def _budget_maximize(tables: Sequence[np.ndarray], budget: int) -> tuple[float, 
     return float(value[budget]), assignment
 
 
+def _budget_certificate(method, split, counts, tables, budget, provenance) -> RiskCertificate:
+    """The worst case of sum_i tables[i][s_i] over the complexity budget."""
+    best, assignment = _budget_maximize(tables, budget)
+    rows = tuple(
+        {"agent": i + 1, "samples": k, "beta": b, "s": s_i, "term": float(table[s_i])}
+        for i, (k, b, s_i, table) in enumerate(zip(counts, split.per_agent, assignment, tables))
+    )
+    return RiskCertificate(
+        method=method,
+        epsilon=_clip_unit(best),
+        beta=split.total,
+        per_agent=rows,
+        provenance={"split": split.strategy, "budget": int(budget), **(provenance or {})},
+    )
+
+
 def a_priori_core_bound(
     split: BetaSplit, counts: Sequence[int], budget: int | None = None, provenance: dict | None = None
 ) -> RiskCertificate:
@@ -255,24 +283,7 @@ def a_priori_core_bound(
     if budget is None:
         budget = subcoalition_budget(n)
     tables = [epsilon_implicit(k, b) for k, b in zip(counts, split.per_agent)]
-    best, assignment = _budget_maximize(tables, budget)
-    rows = tuple(
-        {
-            "agent": i + 1,
-            "samples": counts[i],
-            "beta": split.per_agent[i],
-            "s": assignment[i],
-            "term": float(tables[i][assignment[i]]),
-        }
-        for i in range(n)
-    )
-    return RiskCertificate(
-        method=METHOD_CORE_APRIORI,
-        epsilon=_clip_unit(best),
-        beta=split.total,
-        per_agent=rows,
-        provenance={"split": split.strategy, "budget": int(budget), **(provenance or {})},
-    )
+    return _budget_certificate(METHOD_CORE_APRIORI, split, counts, tables, budget, provenance)
 
 
 def support_rank(spec: GameSpec, agent: int) -> int:
@@ -380,28 +391,8 @@ def a_priori_allocation_bound_budget(
         raise CoalisureError("split and counts must align")
     if budget is None:
         budget = n
-    tables = [
-        np.array([epsilon_closed_form(k, b, n, s) for s in range(k + 1)])
-        for k, b in zip(counts, split.per_agent)
-    ]
-    best, assignment = _budget_maximize(tables, budget)
-    rows = tuple(
-        {
-            "agent": i + 1,
-            "samples": counts[i],
-            "beta": split.per_agent[i],
-            "s": assignment[i],
-            "term": float(tables[i][assignment[i]]),
-        }
-        for i in range(n)
-    )
-    return RiskCertificate(
-        method=METHOD_ALLOCATION_APRIORI_BUDGET,
-        epsilon=_clip_unit(best),
-        beta=split.total,
-        per_agent=rows,
-        provenance={"split": split.strategy, "budget": int(budget), **(provenance or {})},
-    )
+    tables = [_closed_form_table(int(k), b, n) for k, b in zip(counts, split.per_agent)]
+    return _budget_certificate(METHOD_ALLOCATION_APRIORI_BUDGET, split, counts, tables, budget, provenance)
 
 
 # --- the relaxed-core polynomial -------------------------------------------
@@ -464,10 +455,6 @@ class _PolyTerms:
         up = self.log_w_tail + _lse(self.lc_tail + self.ld_tail, self.pw_tail, logt)
         down = self.log_w_mid + _lse(self.lc_mid + self.ld_mid, self.pw_mid, logt)
         return bool(up[0] > down[0])
-
-
-def _poly_normalized(ts, k_total, s, beta_i, n_agents) -> np.ndarray:
-    return _PolyTerms(k_total, s, beta_i, n_agents).normalized(ts)
 
 
 def solve_campi_polynomial(

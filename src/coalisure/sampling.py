@@ -1,11 +1,12 @@
 """Seeded generation of private per-agent multi-samples and fresh validation draws.
 
-Every sample vector is generated from its own RNG stream derived from
-``(master_seed, purpose_tag, agent, index)`` via ``numpy.random.SeedSequence``
-spawn keys.  Streams are therefore independent across agents and across
-indices, and agent ``i``'s samples never change when another agent's count
-does.  Fresh validation draws use a distinct purpose tag and a single
-vectorized stream.
+Every distribution is one transform of ``width`` uniforms per sample.
+Private draws are counter-based (Salmon et al., SC'11): agent i owns one
+Philox stream keyed by ``(master_seed, purpose_tag, i)`` via ``SeedSequence``
+spawn keys, and its sample k reads words ``[k*width, (k+1)*width)``, each
+mapped to ``((r >> 12) + 0.5) * 2**-52`` in the open interval (0, 1).  So a
+longer draw extends a shorter one, and no agent's samples depend on another
+agent's count.  Fresh validation draws use a distinct tag and one PCG64 stream.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import DistributionError
 
@@ -107,19 +109,30 @@ class DistributionSpec:
             return bool(np.linalg.eigvalsh(self.cov).min() <= 1e-15)
         return any(c.possibly_degenerate for c in self.components)
 
-    def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    @property
+    def width(self) -> int:
+        """Uniforms per sample: dim, plus one to pick a mixture component."""
+        if self.kind == "mixture":
+            return 1 + max(c.width for c in self.components)
+        return self.dim
+
+    def _from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        """One sample per row of uniforms in [0, 1); may overwrite ``u``."""
         if self.kind == "uniform":
-            return self.lo + (self.hi - self.lo) * rng.random((n, self.dim))
+            for j in range(self.dim):
+                u[:, j] *= self.hi[j] - self.lo[j]
+                u[:, j] += self.lo[j]
+            return u
         if self.kind == "gaussian":
-            z = rng.standard_normal((n, self.dim))
-            return self.mean + z @ self._chol.T
-        # mixture: pick components first, then draw each row from its component
-        picks = rng.choice(self.weights.size, size=n, p=self.weights)
-        out = np.empty((n, self.dim))
+            np.maximum(u, 2.0**-53, out=u)  # ndtri(0) = -inf
+            return self.mean + ndtri(u, out=u) @ self._chol.T
+        picks = np.searchsorted(np.cumsum(self.weights), u[:, 0], side="right")
+        np.minimum(picks, np.flatnonzero(self.weights)[-1], out=picks)
+        out = np.empty((u.shape[0], self.dim))
         for ci, comp in enumerate(self.components):
             rows = np.flatnonzero(picks == ci)
             if rows.size:
-                out[rows] = comp._draw(rng, rows.size)
+                out[rows] = comp._from_uniforms(u[rows, 1 : 1 + comp.width])
         return out
 
     def to_json_dict(self) -> dict:
@@ -160,7 +173,6 @@ class PrivateSamples:
 
     per_agent: tuple[np.ndarray, ...]
     master_seed: int
-    stream_ids: tuple[tuple[int, ...], ...]
 
     @property
     def n_agents(self) -> int:
@@ -179,31 +191,27 @@ class PrivateSamples:
         return self.per_agent[0].shape[1]
 
 
-def _sample_rng(master_seed: int, agent: int, index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(_PRIVATE_TAG, agent, index))
-    return np.random.default_rng(ss)
-
-
 def draw_private(
     spec: DistributionSpec, counts: Sequence[int], master_seed: int
 ) -> PrivateSamples:
     """Draw K_i i.i.d. vectors for each agent from independent streams.
 
-    Each vector comes from its own counter-derived stream, so the draws are
-    order-independent: agent i's k-th sample is a function of
-    ``(master_seed, i, k)`` alone.
+    Agent i's draws are one block of ``K_i * spec.width`` words of its
+    Philox stream, each word r mapped to the open-interval uniform
+    ``((r >> 12) + 0.5) * 2**-52``; sample k reads words
+    ``[k*width, (k+1)*width)``, so it is a function of ``(master_seed, i, k)``.
     """
     counts = [int(k) for k in counts]
     if not counts or any(k < 1 for k in counts):
         raise DistributionError("every agent needs at least one sample")
     matrices = []
     for agent, k_i in enumerate(counts):
-        rows = [spec._draw(_sample_rng(master_seed, agent, k), 1)[0] for k in range(k_i)]
-        m = np.array(rows)
+        ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(_PRIVATE_TAG, agent))
+        raw = np.random.Philox(key=ss.generate_state(2, np.uint64)).random_raw(k_i * spec.width)
+        m = spec._from_uniforms((((raw >> np.uint64(12)) + 0.5) * 2.0**-52).reshape(k_i, -1))
         m.flags.writeable = False
         matrices.append(m)
-    stream_ids = tuple((_PRIVATE_TAG, agent) for agent in range(len(counts)))
-    return PrivateSamples(per_agent=tuple(matrices), master_seed=int(master_seed), stream_ids=stream_ids)
+    return PrivateSamples(per_agent=tuple(matrices), master_seed=int(master_seed))
 
 
 def draw_fresh(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
@@ -211,7 +219,7 @@ def draw_fresh(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise DistributionError("need at least one fresh sample")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_FRESH_TAG,))
-    return spec._draw(np.random.default_rng(ss), int(n))
+    return spec._from_uniforms(np.random.default_rng(ss).random((int(n), spec.width)))
 
 
 _CSV_HEADER = ("agent_id", "sample_index")
@@ -251,5 +259,4 @@ def samples_from_csv(text: str, master_seed: int = 0) -> PrivateSamples:
         m = np.array([per[k] for k in range(len(per))])
         m.flags.writeable = False
         matrices.append(m)
-    stream_ids = tuple((_PRIVATE_TAG, agent) for agent in range(len(rows)))
-    return PrivateSamples(per_agent=tuple(matrices), master_seed=int(master_seed), stream_ids=stream_ids)
+    return PrivateSamples(per_agent=tuple(matrices), master_seed=int(master_seed))

@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's own computational paths:
 exact rational arithmetic and a one-subset-at-a-time loop for vertex
 enumeration, double loops for maxima, grid search for emptiness,
 high-precision term summation and an incomplete-beta sign evaluator for
-the certificate polynomial, and coverage trials run one method at a time,
-each with its own fresh draw.
+the certificate polynomial, coverage trials run one method at a time,
+each with its own fresh draw, and fresh uniform draws by one broadcast
+over the whole array.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from coalisure import scenario_core, validation
 from coalisure.errors import CoalisureError, EmptyCoreError, GuardError
 from coalisure.game import Coalition, GameSpec, ValueModel
 from coalisure.risk import _PolyTerms, log_binom
-from coalisure.sampling import draw_fresh, draw_private
+from coalisure.sampling import _FRESH_TAG, draw_fresh, draw_private
 from coalisure.scenario_core import _VERTEX_DEDUP_TOL, VERTEX_GUARD_AGENTS
 
 
@@ -287,6 +288,10 @@ def _poly_signs_fast(ts: np.ndarray, k_total: int, s: int, beta_i: float, n_agen
     return signs
 
 
+def _poly_normalized(ts, k_total, s, beta_i, n_agents) -> np.ndarray:
+    return _PolyTerms(k_total, s, beta_i, n_agents).normalized(ts)
+
+
 def mp_closed_form_epsilon(k_total, beta, n_agents, s, dps=50):
     """1 - (beta / ((N+1) C(K,s)))^(1/(K-s)) at 50 digits."""
     with mp.workdps(dps):
@@ -294,6 +299,15 @@ def mp_closed_form_epsilon(k_total, beta, n_agents, s, dps=50):
             return 1.0
         base = mp.mpf(repr(float(beta))) / ((n_agents + 1) * mp.binomial(k_total, s))
         return float(1 - base ** (mp.mpf(1) / (k_total - s)))
+
+
+# --- fresh draws --------------------------------------------------------------
+
+def broadcast_uniform_fresh(spec, n, seed):
+    """Fresh uniform-box draws by broadcasting the box over the whole
+    (n, d) array of ``Generator.random`` uniforms on the fresh stream."""
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_FRESH_TAG,))
+    return spec.lo + (spec.hi - spec.lo) * np.random.default_rng(ss).random((int(n), spec.dim))
 
 
 # --- one coverage trial, one method at a time -------------------------------

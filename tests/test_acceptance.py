@@ -24,6 +24,7 @@ from coalisure.game import Coalition, GameSpec, ValueModel
 from coalisure.sampling import DistributionSpec, draw_private
 
 from oracles import (
+    _poly_normalized,
     _poly_signs_fast,
     grid_core_empty,
     mp_closed_form_epsilon,
@@ -219,7 +220,7 @@ class TestCriterion5FormulaFidelity:
             grid = np.arange(1, 64 * k + 1) / (64 * k)
             below = grid[grid < t - 1e-12]
             if below.size:
-                assert (risk._poly_normalized(below, k, s, beta, n_agents) < 0).all()
+                assert (_poly_normalized(below, k, s, beta, n_agents) < 0).all()
         print(
             f"ACCEPTANCE 5c PASS: polynomial roots for all s <= K <= 200, "
             f"{len(sampled)} high-precision residuals, worst {worst_mp:.2e} <= 1e-10"

@@ -6,7 +6,7 @@ import pytest
 from coalisure import risk
 from coalisure.errors import NoRootError
 
-from oracles import _poly_signs_fast, mp_poly_normalized
+from oracles import _poly_normalized, _poly_signs_fast, mp_poly_normalized
 
 
 def test_root_in_a_positive_interval_narrower_than_a_grid_step():
@@ -20,7 +20,7 @@ def test_root_in_a_positive_interval_narrower_than_a_grid_step():
     assert abs(mp_poly_normalized(t, k, s, beta, n)) <= 1e-10
     grid = np.arange(1, 64 * k + 1) / (64 * k)
     below = grid[grid < t]
-    assert (risk._poly_normalized(below, k, s, beta, n) < 0).all()
+    assert (_poly_normalized(below, k, s, beta, n) < 0).all()
     assert (_poly_signs_fast(below, k, s, beta, n) < 0).all()
 
 
@@ -48,5 +48,5 @@ def test_no_root_trace_holds_the_evaluated_points(k, beta, n, s):
     assert points.shape == signs.shape
     assert points[0] == 1.0 and ((points > 0) & (points <= 1)).all()
     assert (signs <= 0).all()
-    assert (risk._poly_normalized(points, k, s, beta, n) <= 0).all()
+    assert (_poly_normalized(points, k, s, beta, n) <= 0).all()
     assert mp_poly_normalized(points[-1], k, s, beta, n) < 0

@@ -17,7 +17,6 @@ def manual_samples(rows, dim=1):
     return PrivateSamples(
         tuple(np.asarray(r, dtype=float).reshape(-1, dim) for r in rows),
         0,
-        tuple((0, i) for i in range(len(rows))),
     )
 
 
@@ -144,7 +143,6 @@ class TestSetEquality:
                     np.array([[jitter[3], 0.1]]),
                 ),
                 0,
-                ((0, 0), (0, 1), (0, 2)),
             )
             core = sc.build(spec, sc.tighten(spec, samples))
             assert not sc.is_empty(core)
@@ -215,7 +213,6 @@ class TestBruteForce:
                 np.array([[0.4, 0.02]]),
             ),
             0,
-            ((0, 0), (0, 1), (0, 2)),
         )
         alg = cp.compress_all(spec, samples)
         assert 1 in alg.per_agent[0]  # the pair recruited its witness

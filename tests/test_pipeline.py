@@ -158,7 +158,7 @@ class TestValueTable:
 
     def test_rejects_samples_for_another_game(self):
         spec = GameSpec.from_json_dict(README_GAME)
-        two = PrivateSamples((np.zeros((2, 2)), np.zeros((2, 2))), 0, ((0, 0), (0, 1)))
+        two = PrivateSamples((np.zeros((2, 2)), np.zeros((2, 2))), 0)
         with pytest.raises(GameSpecError):
             scenario_core.value_table(spec, two)
 

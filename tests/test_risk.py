@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from math import log
 from itertools import product
 
 from coalisure import risk
 from coalisure.errors import CoalisureError, NoRootError
 from coalisure.game import Coalition, GameSpec, ValueModel
 
-from oracles import mp_closed_form_epsilon, mp_poly_normalized
+from oracles import _poly_normalized, mp_closed_form_epsilon, mp_poly_normalized
 
 
 def plugback_residual(k_total, beta_i):
@@ -83,6 +84,33 @@ class TestEpsilonClosedForm:
     def test_rejects_s_above_k(self):
         with pytest.raises(CoalisureError):
             risk.epsilon_closed_form(5, 0.1, 2, 6)
+
+
+class TestLevelTables:
+    def test_tables_cached_and_read_only(self):
+        for table in (risk.epsilon_implicit(60, 0.07), risk.epsilon_implicit(1, 0.07)):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.5
+        assert risk.epsilon_implicit(60, 0.07) is risk.epsilon_implicit(60, 0.07)
+        assert not risk._closed_form_table(60, 0.07, 3).flags.writeable
+
+    @pytest.mark.parametrize("k, beta, n", [(1, 0.1, 1), (50, 0.2 / 3, 3), (200, 0.04, 5), (1000, 0.01, 7)])
+    def test_closed_form_table_equals_scalar_formula(self, k, beta, n):
+        # one complexity at a time, bit for bit
+        table = risk._closed_form_table(k, beta, n)
+        for s in range(k):
+            log_base = log(beta) - log(n + 1) - risk.log_binom(k, s)
+            assert table[s] == float(np.clip(1.0 - np.exp(log_base / (k - s)), 0.0, 1.0))
+            assert risk.epsilon_closed_form(k, beta, n, s) == table[s]
+        assert table[k] == 1.0
+
+    def test_invalid_arguments_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(CoalisureError):
+                risk.epsilon_closed_form(0, 0.1, 2, 0)
+            with pytest.raises(CoalisureError):
+                risk.epsilon_implicit(5, 1.0)
 
 
 class TestBetaSplit:
@@ -314,7 +342,7 @@ class TestCertificatePolynomial:
             grid = np.arange(1, 64 * k + 1) / (64 * k)
             below = grid[grid < t - 1e-9]
             if below.size:
-                vals = risk._poly_normalized(below, k, s, beta, n)
+                vals = _poly_normalized(below, k, s, beta, n)
                 assert (vals < 0).all()
 
     def test_monotone_in_complexity(self):

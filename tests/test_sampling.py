@@ -10,6 +10,8 @@ from coalisure.sampling import (
     samples_to_csv,
 )
 
+from oracles import broadcast_uniform_fresh
+
 
 UNIT = DistributionSpec.uniform([0.0], [1.0])
 
@@ -154,3 +156,103 @@ class TestCsv:
         text = "agent_id,sample_index,xi1\n1,1,0.5\n3,1,0.25\n"
         with pytest.raises(DistributionError):
             samples_from_csv(text)
+
+
+GAUSS2 = DistributionSpec.gaussian([1.0, -2.0], [[0.5, 0.1], [0.1, 0.3]])
+NESTED = DistributionSpec.mixture(
+    [0.5, 0.5],
+    [
+        DistributionSpec.mixture(
+            [0.3, 0.7],
+            [DistributionSpec.uniform([0.0], [1.0]), DistributionSpec.gaussian([0.0], [[1.0]])],
+        ),
+        DistributionSpec.uniform([5.0], [6.0]),
+    ],
+)
+
+
+class TestCounterStreams:
+    @pytest.mark.parametrize("dist", [UNIT, GAUSS2, NESTED], ids=["uniform", "gaussian", "mixture"])
+    def test_row_k_independent_of_count(self, dist):
+        short = draw_private(dist, (3, 4), 19)
+        long = draw_private(dist, (9, 1), 19)
+        for agent, rows in ((0, 3), (1, 1)):
+            for k in range(rows):
+                assert (short.per_agent[agent][k] == long.per_agent[agent][k]).all()
+
+    def test_mixture_prefix_stable(self):
+        a = draw_private(NESTED, (40,), 23)
+        b = draw_private(NESTED, (200,), 23)
+        assert (b.per_agent[0][:40] == a.per_agent[0]).all()
+        assert np.isfinite(b.per_agent[0]).all()
+
+    def test_widths(self):
+        assert UNIT.width == 1
+        assert GAUSS2.width == 2
+        assert NESTED.components[0].width == 2
+        assert NESTED.width == 3
+
+    def test_nested_mixture_hits_every_component(self):
+        xs = draw_private(NESTED, (4000,), 29).per_agent[0].ravel()
+        outer_hi = (xs >= 5.0) & (xs <= 6.0)
+        assert 0.45 < outer_hi.mean() < 0.55
+        # the inner gaussian puts mass outside [0, 1], the inner box inside it
+        low = xs[~outer_hi]
+        assert ((low < 0.0) | (low > 1.0)).any()
+        assert ((low >= 0.0) & (low <= 1.0)).any()
+
+    def test_mixture_value_independent_of_pick(self):
+        # the component reads the uniforms after the one that picked it
+        dist = DistributionSpec.mixture(
+            [0.5, 0.5],
+            [DistributionSpec.uniform([0.0], [1.0]), DistributionSpec.uniform([10.0], [11.0])],
+        )
+        xs = draw_private(dist, (4000,), 37).per_agent[0].ravel()
+        for lo in (0.0, 10.0):
+            part = xs[(xs >= lo) & (xs <= lo + 1.0)] - lo
+            assert 0.45 < (part > 0.5).mean() < 0.55
+
+    def test_gaussian_private_large_k(self):
+        k = 100_000
+        s = draw_private(GAUSS2, (k,), 31)
+        xs = s.per_agent[0]
+        assert np.isfinite(xs).all()
+        emp = xs.mean(axis=0)
+        for j in range(2):
+            assert abs(emp[j] - GAUSS2.mean[j]) < 4.0 * np.sqrt(GAUSS2.cov[j, j] / k)
+
+    @pytest.mark.parametrize("n", [1, 7, 100_000])
+    def test_fresh_uniform_equals_broadcast_kernel(self, n):
+        box = DistributionSpec.uniform([-1.5, 0.25, 3.0], [2.0, 0.25, 7.5])
+        got = draw_fresh(box, n, 42)
+        want = broadcast_uniform_fresh(box, n, 42)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_private_golden_values(self):
+        # pins the private stream: a change here changes every sample-derived number
+        s = draw_private(DistributionSpec.uniform([0.0, 0.0], [1.0, 1.0]), (3,), 20240901)
+        expected = [
+            [0.015551971200667869, 0.5015472966945232],
+            [0.7814710666904429, 0.7274072100109522],
+            [0.7323142159092532, 0.1965649435613458],
+        ]
+        assert s.per_agent[0].tolist() == expected
+
+    def test_private_draws_read_only(self):
+        s = draw_private(GAUSS2, (5,), 3)
+        assert not s.per_agent[0].flags.writeable
+
+    def test_gaussian_transform_finite_at_zero(self):
+        # Generator.random, which feeds fresh draws, can return exactly 0.0
+        xs = GAUSS2._from_uniforms(np.array([[0.0, 0.0], [0.5, 0.5]]))
+        assert np.isfinite(xs).all()
+        assert (xs[1] == GAUSS2.mean).all()
+
+    def test_mixture_rounding_never_picks_zero_weight(self):
+        # ten weights of 0.1 sum to 1 - 2**-53, which the largest private
+        # uniform reaches; the trailing zero-weight component must stay unused
+        comps = [DistributionSpec.uniform([float(c)], [float(c)]) for c in range(11)]
+        dist = DistributionSpec.mixture([0.1] * 10 + [0.0], comps)
+        xs = dist._from_uniforms(np.array([[1.0 - 2.0**-53, 0.5], [0.05, 0.5]]))
+        assert xs.ravel().tolist() == [9.0, 0.0]

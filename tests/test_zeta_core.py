@@ -17,7 +17,6 @@ def manual_samples(rows, dim=1):
     return PrivateSamples(
         tuple(np.asarray(r, dtype=float).reshape(-1, dim) for r in rows),
         0,
-        tuple((0, i) for i in range(len(rows))),
     )
 
 
