@@ -15,8 +15,11 @@ statements:
 * the polynomial whose smallest root yields the relaxed-core violation
   level (``solve_campi_polynomial``).
 
-Binomial coefficients are evaluated through log-gamma so the formulas stay
-usable at sample counts in the thousands; violation-level tables are cached.
+Every level checks one shared (K, beta_i, N, s) domain, and every
+certificate that sums per-agent levels gets its rows from
+``summed_certificate``.  Binomial coefficients are evaluated through
+log-gamma so the formulas stay usable at sample counts in the thousands;
+violation-level tables and relaxed roots are cached.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import log
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -143,6 +146,17 @@ class RiskCertificate:
         return doc
 
 
+def _check_domain(k_total: int, beta_i: float, n_agents: int, s: int) -> None:
+    """The domain every violation level shares: K >= 1 samples, N >= 1
+    agents, a share 0 < beta_i < 1 and a complexity 0 <= s <= K."""
+    if k_total < 1 or n_agents < 1:
+        raise CoalisureError("sample and agent counts must be >= 1")
+    if not 0.0 < beta_i < 1.0:
+        raise CoalisureError(f"beta_i must lie in (0,1), got {beta_i}")
+    if not 0 <= s <= k_total:
+        raise CoalisureError(f"complexity s={s} outside 0..{k_total}")
+
+
 def _level_table(k_total: int, beta_i: float, log_div: float) -> np.ndarray:
     """Read-only eps(s) = 1 - (beta_i / (e^log_div C(K,s)))^(1/(K-s)), s < K; eps(K) = 1."""
     ks = np.arange(0, k_total)
@@ -168,10 +182,7 @@ def epsilon_implicit(k_total: int, beta_i: float) -> np.ndarray:
     ``eps(0) = 1 - beta`` is used instead.
     """
     k_total = int(k_total)
-    if k_total < 1:
-        raise CoalisureError("sample count must be >= 1")
-    if not 0.0 < beta_i < 1.0:
-        raise CoalisureError(f"beta_i must lie in (0,1), got {beta_i}")
+    _check_domain(k_total, beta_i, 1, 0)  # the table spans every s and needs no N
     if k_total > 1:
         return _level_table(k_total, beta_i, log(k_total - 1))
     table = np.array([1.0 - beta_i, 1.0])
@@ -181,51 +192,69 @@ def epsilon_implicit(k_total: int, beta_i: float) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _closed_form_table(k_total: int, beta_i: float, n_agents: int) -> np.ndarray:
-    if k_total < 1 or n_agents < 1:
-        raise CoalisureError("sample and agent counts must be >= 1")
-    if not 0.0 < beta_i < 1.0:
-        raise CoalisureError(f"beta_i must lie in (0,1), got {beta_i}")
+    _check_domain(k_total, beta_i, n_agents, 0)
     return _level_table(k_total, beta_i, log(n_agents + 1))
 
 
 def epsilon_closed_form(k_total: int, beta_i: float, n_agents: int, s: int) -> float:
     """eps(s) = 1 - (beta / ((N+1) C(K,s)))^(1/(K-s)); eps(K) = 1."""
-    k_total, s = int(k_total), int(s)
-    table = _closed_form_table(k_total, beta_i, int(n_agents))
-    if not 0 <= s <= k_total:
-        raise CoalisureError(f"complexity s={s} outside 0..{k_total}")
-    return float(table[s])
+    k_total, n_agents, s = int(k_total), int(n_agents), int(s)
+    _check_domain(k_total, beta_i, n_agents, s)
+    return float(_closed_form_table(k_total, beta_i, n_agents)[s])
 
 
 def _clip_unit(x: float) -> float:
     return float(min(1.0, max(0.0, x)))
 
 
+def summed_certificate(
+    method: str,
+    split: BetaSplit,
+    s_counts: Sequence[int],
+    counts: Sequence[int],
+    level: Callable[[int, int, float, int], dict],
+    provenance: dict,
+    warning: str | None,
+) -> RiskCertificate:
+    """A certificate whose epsilon is the sum of per-agent levels.
+
+    Agent i's row is ``{"agent", "samples", "beta", **level(i, K_i,
+    beta_i, s_i)}``: ``level`` returns the row's complexity and level
+    fields, ending in its summand ``"term"``, once (K_i, beta_i, s_i) has
+    passed the shared domain check.  Every method with per-agent level rows
+    is built here, the a posteriori ones and the budget bounds alike.
+    """
+    if not len(split.per_agent) == len(s_counts) == len(counts):
+        raise CoalisureError("split, complexity counts, and sample counts must align")
+    rows = []
+    total = 0.0
+    for agent, (beta_i, s_i, k_i) in enumerate(zip(split.per_agent, s_counts, counts)):
+        k_i, s_i = int(k_i), int(s_i)
+        _check_domain(k_i, beta_i, len(counts), s_i)
+        rows.append({"agent": agent + 1, "samples": k_i, "beta": beta_i, **level(agent, k_i, beta_i, s_i)})
+        total += rows[-1]["term"]
+    return RiskCertificate(
+        method=method,
+        epsilon=_clip_unit(total),
+        beta=split.total,
+        per_agent=tuple(rows),
+        provenance={"split": split.strategy, **provenance},
+        warning=warning,
+    )
+
+
 def a_posteriori_core_bound(
     split: BetaSplit, s_counts: Sequence[int], counts: Sequence[int], provenance: dict | None = None
 ) -> RiskCertificate:
     """Core-instability level from observed per-agent compression sizes."""
-    if not len(split.per_agent) == len(s_counts) == len(counts):
-        raise CoalisureError("split, compression sizes, and counts must align")
-    rows = []
-    total = 0.0
-    for agent, (beta_i, s_i, k_i) in enumerate(zip(split.per_agent, s_counts, counts)):
-        if not 0 <= s_i <= k_i:
-            raise CoalisureError(f"agent {agent + 1}: s={s_i} outside 0..{k_i}")
-        term = float(epsilon_implicit(k_i, beta_i)[s_i])
-        total += term
-        rows.append({"agent": agent + 1, "samples": k_i, "beta": beta_i, "s": int(s_i), "term": term})
-    return RiskCertificate(
-        method=METHOD_CORE_APOSTERIORI,
-        epsilon=_clip_unit(total),
-        beta=split.total,
-        per_agent=tuple(rows),
-        provenance={"split": split.strategy, **(provenance or {})},
+    return summed_certificate(
+        METHOD_CORE_APOSTERIORI, split, s_counts, counts,
+        lambda i, k, b, s: {"s": s, "term": float(epsilon_implicit(k, b)[s])}, provenance or {}, None,
     )
 
 
-def _budget_maximize(tables: Sequence[np.ndarray], budget: int) -> tuple[float, list[int]]:
-    """max sum_i f_i(s_i) s.t. sum s_i <= budget, 0 <= s_i <= K_i.
+def _budget_maximize(tables: Sequence[np.ndarray], budget: int) -> list[int]:
+    """The s maximizing sum_i f_i(s_i) s.t. sum s_i <= budget, 0 <= s_i <= K_i.
 
     Dynamic programming over (agent, remaining budget); ties resolve to the
     smallest s for the earliest agents, so the assignment is deterministic.
@@ -251,22 +280,19 @@ def _budget_maximize(tables: Sequence[np.ndarray], budget: int) -> tuple[float, 
     for i in range(len(tables) - 1, -1, -1):
         assignment[i] = int(choices[i][b])
         b -= assignment[i]
-    return float(value[budget]), assignment
+    return assignment
 
 
 def _budget_certificate(method, split, counts, tables, budget, provenance) -> RiskCertificate:
-    """The worst case of sum_i tables[i][s_i] over the complexity budget."""
-    best, assignment = _budget_maximize(tables, budget)
-    rows = tuple(
-        {"agent": i + 1, "samples": k, "beta": b, "s": s_i, "term": float(table[s_i])}
-        for i, (k, b, s_i, table) in enumerate(zip(counts, split.per_agent, assignment, tables))
-    )
-    return RiskCertificate(
-        method=method,
-        epsilon=_clip_unit(best),
-        beta=split.total,
-        per_agent=rows,
-        provenance={"split": split.strategy, "budget": int(budget), **(provenance or {})},
+    """The worst case of sum_i tables[i][s_i] over the complexity budget.
+
+    The row sum repeats the dynamic program's additions, so epsilon equals
+    the maximum it found bit for bit.
+    """
+    return summed_certificate(
+        method, split, _budget_maximize(tables, budget), counts,
+        lambda i, k, b, s: {"s": s, "term": float(tables[i][s])},
+        {"budget": int(budget), **(provenance or {})}, None,
     )
 
 
@@ -277,11 +303,8 @@ def a_priori_core_bound(
 
     The budget defaults to the conventional subcoalition count 2^N - 1.
     """
-    n = len(counts)
-    if len(split.per_agent) != n:
-        raise CoalisureError("split and counts must align")
     if budget is None:
-        budget = subcoalition_budget(n)
+        budget = subcoalition_budget(len(counts))
     tables = [epsilon_implicit(k, b) for k, b in zip(counts, split.per_agent)]
     return _budget_certificate(METHOD_CORE_APRIORI, split, counts, tables, budget, provenance)
 
@@ -299,28 +322,26 @@ def support_rank(spec: GameSpec, agent: int) -> int:
     return int(np.linalg.matrix_rank(np.array([c.indicator(spec.n_agents) for c in allowed])))
 
 
-def beta_from_support_rank(k_total: int, eps_i: float, rho_i: int) -> float:
-    """Confidence mass beta_i = sum_{j=1}^{rho} C(K,j) eps^j (1-eps)^(K-j)."""
+def _binomial_mass(k_total: int, eps_i: float, rho_i: int, first: int) -> float:
+    """sum_{j=first}^{first+rho-1} C(K,j) eps^j (1-eps)^(K-j), for 1 <= rho <= K."""
     k_total, rho_i = int(k_total), int(rho_i)
     if not 0.0 < eps_i < 1.0:
         raise CoalisureError(f"eps_i must lie in (0,1), got {eps_i}")
     if not 1 <= rho_i <= k_total:
         raise CoalisureError(f"support rank {rho_i} outside 1..{k_total}")
-    js = np.arange(1, rho_i + 1)
+    js = np.arange(first, first + rho_i)
     terms = log_binom(k_total, js) + js * log(eps_i) + (k_total - js) * np.log1p(-eps_i)
     return float(np.exp(terms).sum())
+
+
+def beta_from_support_rank(k_total: int, eps_i: float, rho_i: int) -> float:
+    """Confidence mass beta_i = sum_{j=1}^{rho} C(K,j) eps^j (1-eps)^(K-j)."""
+    return _binomial_mass(k_total, eps_i, rho_i, 1)
 
 
 def beta_from_support_rank_conventional(k_total: int, eps_i: float, rho_i: int) -> float:
     """The j = 0..rho-1 binomial tail, reported alongside the primary form."""
-    k_total, rho_i = int(k_total), int(rho_i)
-    if not 0.0 < eps_i < 1.0:
-        raise CoalisureError(f"eps_i must lie in (0,1), got {eps_i}")
-    if not 1 <= rho_i <= k_total:
-        raise CoalisureError(f"support rank {rho_i} outside 1..{k_total}")
-    js = np.arange(0, rho_i)
-    terms = log_binom(k_total, js) + js * log(eps_i) + (k_total - js) * np.log1p(-eps_i)
-    return float(np.exp(terms).sum())
+    return _binomial_mass(k_total, eps_i, rho_i, 0)
 
 
 def a_priori_allocation_bound(
@@ -361,20 +382,9 @@ def a_posteriori_allocation_bound(
 ) -> RiskCertificate:
     """Allocation bound from observed compression sizes, closed-form levels."""
     n = len(counts)
-    if not len(split.per_agent) == len(s_counts) == n:
-        raise CoalisureError("split, compression sizes, and counts must align")
-    rows = []
-    total = 0.0
-    for agent, (beta_i, s_i, k_i) in enumerate(zip(split.per_agent, s_counts, counts)):
-        term = epsilon_closed_form(k_i, beta_i, n, s_i)
-        total += term
-        rows.append({"agent": agent + 1, "samples": k_i, "beta": beta_i, "s": int(s_i), "term": term})
-    return RiskCertificate(
-        method=METHOD_ALLOCATION_APOSTERIORI,
-        epsilon=_clip_unit(total),
-        beta=split.total,
-        per_agent=tuple(rows),
-        provenance={"split": split.strategy, **(provenance or {})},
+    return summed_certificate(
+        METHOD_ALLOCATION_APOSTERIORI, split, s_counts, counts,
+        lambda i, k, b, s: {"s": s, "term": epsilon_closed_form(k, b, n, s)}, provenance or {}, None,
     )
 
 
@@ -387,8 +397,6 @@ def a_priori_allocation_bound_budget(
     number of agents, so the default budget is N.
     """
     n = len(counts)
-    if len(split.per_agent) != n:
-        raise CoalisureError("split and counts must align")
     if budget is None:
         budget = n
     tables = [_closed_form_table(int(k), b, n) for k, b in zip(counts, split.per_agent)]
@@ -457,6 +465,7 @@ class _PolyTerms:
         return bool(up[0] > down[0])
 
 
+@lru_cache(maxsize=4096)
 def solve_campi_polynomial(
     k_total: int, beta_i: float, n_agents: int, s: int
 ) -> tuple[float, float]:
@@ -475,14 +484,12 @@ def solve_campi_polynomial(
     Raises :class:`NoRootError` when r is still falling at t = 1, or when
     the search closes in on the minimum of r without h turning positive;
     the error carries the points evaluated and the sign of h at each.
+
+    The result depends on (K, beta_i, N, s) alone and is cached per tuple;
+    errors are not cached, so a failing call raises afresh every time.
     """
     k_total, s, n_agents = int(k_total), int(s), int(n_agents)
-    if k_total < 1 or n_agents < 1:
-        raise CoalisureError("sample and agent counts must be >= 1")
-    if not 0.0 < beta_i < 1.0:
-        raise CoalisureError(f"beta_i must lie in (0,1), got {beta_i}")
-    if not 0 <= s <= k_total:
-        raise CoalisureError(f"complexity s={s} outside 0..{k_total}")
+    _check_domain(k_total, beta_i, n_agents, s)
     if s == k_total:
         return 0.0, 1.0
 

@@ -13,6 +13,7 @@ only in membership queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations, islice
 from typing import Mapping, Sequence
 
@@ -67,10 +68,15 @@ class ScenarioCoreDesc:
         return self.bounds.coalitions()
 
     def constraint_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A, b) with one row per coalition constraint A x >= b."""
+        """(A, b) with one row per coalition constraint A x >= b (read-only)."""
+        return self._rows
+
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
         cs = self.coalitions()
         a = np.array([c.indicator(self.n_agents) for c in cs])
         b = np.array([self.bounds.value(c) for c in cs])
+        a.flags.writeable = b.flags.writeable = False
         return a, b
 
     def to_json_dict(self) -> dict:
@@ -90,12 +96,13 @@ class ScenarioCoreDesc:
         }
 
 
-def value_table(spec: GameSpec, samples: PrivateSamples) -> list[dict[int, np.ndarray]]:
-    """u_S at every agent's own samples: ``table[i][S.mask][k] = u_S(xi_i^(k))``
-    for each coalition S agent i may join.
+def value_table(spec: GameSpec, samples: PrivateSamples) -> list[np.ndarray]:
+    """u_S at every agent's own samples: ``table[i][k, j] = u_S(xi_i^(k))``
+    for the j-th coalition S of ``spec.allowed(i)``.
 
-    Evaluated one coalition at a time, so every consumer sees the values
-    bit for bit as a direct ``value_batch`` call would give them.
+    Agent i's matrix is K_i x |allowed(i)| and read-only; each column is one
+    ``value_batch`` call, so every consumer sees the values bit for bit as a
+    direct evaluation would give them.
     """
     if samples.n_agents != spec.n_agents:
         raise GameSpecError(
@@ -103,10 +110,20 @@ def value_table(spec: GameSpec, samples: PrivateSamples) -> list[dict[int, np.nd
         )
     if samples.dim != spec.uncertainty_dim:
         raise GameSpecError("sample dimension does not match the value model")
-    return [
-        {c.mask: spec.value_model.value_batch(c, samples.per_agent[agent]) for c in spec.allowed(agent)}
-        for agent in range(spec.n_agents)
-    ]
+    table = []
+    for agent, xis in enumerate(samples.per_agent):
+        values = np.empty((xis.shape[0], len(spec.allowed(agent))))
+        for j, c in enumerate(spec.allowed(agent)):
+            values[:, j] = spec.value_model.value_batch(c, xis)
+        values.flags.writeable = False
+        table.append(values)
+    return table
+
+
+def column_maxima(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's maximum and the lowest sample index attaining it."""
+    first = values.argmax(axis=0)
+    return values[first, np.arange(values.shape[1])], first
 
 
 def tighten(spec: GameSpec, samples: PrivateSamples) -> TightenedBounds:
@@ -116,20 +133,16 @@ def tighten(spec: GameSpec, samples: PrivateSamples) -> TightenedBounds:
     coalition containing it); argmax ties break toward the lowest
     (agent, sample) pair.
     """
-    values = value_table(spec, samples)
+    maxima = []  # agent -> coalition mask -> (sampled max, first argmax)
+    for agent, values in enumerate(value_table(spec, samples)):
+        top, first = column_maxima(values)
+        maxima.append({c.mask: (float(v), int(k)) for c, v, k in zip(spec.allowed(agent), top, first)})
     entries: dict[int, BoundEntry] = {}
     for coalition in enumerate_subcoalitions(spec):
-        best = -np.inf
-        who = None
-        per_agent: dict[int, float] = {}
-        for agent in coalition.members:
-            vals = values[agent][coalition.mask]
-            k = int(np.argmax(vals))
-            per_agent[agent] = float(vals[k])
-            if who is None or vals[k] > best:
-                best = float(vals[k])
-                who = (agent, k)
-        entries[coalition.mask] = BoundEntry(best, who[0], who[1], per_agent)
+        found = {agent: maxima[agent][coalition.mask] for agent in coalition.members}
+        who = max(found, key=lambda agent: found[agent][0])  # the first of equal maxima
+        per_agent = {agent: v for agent, (v, _) in found.items()}
+        entries[coalition.mask] = BoundEntry(found[who][0], who, found[who][1], per_agent)
     return TightenedBounds(entries)
 
 

@@ -25,17 +25,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp
-from .errors import LpError
+from . import lp, scenario_core
+from .errors import CoalisureError, GameSpecError, LpError
 from .game import Coalition, GameSpec, enumerate_subcoalitions
 from .risk import (
     METHOD_RELAXED_ALLOCATION,
     BetaSplit,
     RiskCertificate,
     solve_campi_polynomial,
+    summed_certificate,
 )
 from .sampling import PrivateSamples
-from .scenario_core import TightenedBounds, value_table
+from .scenario_core import TightenedBounds
 
 POSITIVE_SLACK_TOL = 1e-7
 _TIE_TOL = 1e-9
@@ -67,27 +68,23 @@ class ZetaSolution:
         }
 
 
-def _sample_values(spec: GameSpec, samples: PrivateSamples):
-    """values[i] is a (K_i, |allowed(i)|) matrix of u_S(xi_i^(k))."""
-    table = value_table(spec, samples)
-    allowed = [spec.allowed(agent) for agent in range(spec.n_agents)]
-    values = [
-        np.column_stack([table[agent][c.mask] for c in cs]) if cs else np.zeros((samples.counts[agent], 0))
-        for agent, cs in enumerate(allowed)
-    ]
-    return values, allowed
+def _gaps(values, allowed, x) -> list[np.ndarray]:
+    """u_S(xi_i^(k)) - x(S) for every agent i, sample k and allowed S."""
+    return [vals - np.array([x[list(c.members)].sum() for c in cs]) for vals, cs in zip(values, allowed)]
 
 
-def _pointwise_slacks(spec, samples, values, allowed, x):
-    """Minimal feasible slacks for a fixed allocation: max(0, u - x(S))."""
-    out = []
-    for agent in range(spec.n_agents):
-        if values[agent].shape[1] == 0:
-            out.append(np.zeros(samples.counts[agent]))
-            continue
-        pays = np.array([x[list(c.members)].sum() for c in allowed[agent]])
-        out.append(np.maximum(0.0, (values[agent] - pays).max(axis=1)))
-    return out
+def _binding_rows(spec: GameSpec, values, allowed) -> list[tuple[int, int, int]]:
+    """Seed rows (agent, sample, coalition position): per coalition and
+    member, the lowest maximizing sample, in coalition-major order (the row
+    order is part of the program HiGHS solves)."""
+    first = [scenario_core.column_maxima(vals)[1] for vals in values]
+    position = [{c.mask: pos for pos, c in enumerate(cs)} for cs in allowed]
+    rows = []
+    for coalition in enumerate_subcoalitions(spec):
+        for agent in coalition.members:
+            pos = position[agent][coalition.mask]
+            rows.append((agent, int(first[agent][pos]), pos))
+    return rows
 
 
 def solve_zeta_program(spec: GameSpec, samples: PrivateSamples) -> ZetaSolution:
@@ -98,26 +95,14 @@ def solve_zeta_program(spec: GameSpec, samples: PrivateSamples) -> ZetaSolution:
     pointwise minima, which any optimal solution must equal.
     """
     n = spec.n_agents
-    values, allowed = _sample_values(spec, samples)
+    values = scenario_core.value_table(spec, samples)
+    allowed = [spec.allowed(agent) for agent in range(n)]
     counts = samples.counts
     total_k = sum(counts)
     zeta_offset = np.concatenate([[0], np.cumsum(counts)])[:-1]
     n_vars = n + total_k
-
-    # active rows (agent, sample, coalition position) seeded coalition-major
-    # (the row order is part of the program HiGHS solves) with each
-    # coalition's currently-binding sample per member agent
-    position = [{c.mask: pos for pos, c in enumerate(cs)} for cs in allowed]
-    active: list[tuple[int, int, int]] = []
-    seen = set()
-    for coalition in enumerate_subcoalitions(spec):
-        for agent in coalition.members:
-            pos = position[agent][coalition.mask]
-            k = int(np.argmax(values[agent][:, pos]))
-            key = (agent, k, pos)
-            if key not in seen:
-                seen.add(key)
-                active.append(key)
+    active = _binding_rows(spec, values, allowed)
+    seen = set(active)
 
     lower = np.concatenate([np.full(n, -np.inf), np.zeros(total_k)])
     objective = np.concatenate([np.zeros(n), np.ones(total_k)])
@@ -150,15 +135,10 @@ def solve_zeta_program(spec: GameSpec, samples: PrivateSamples) -> ZetaSolution:
             )
             if out.status != lp.OPTIMAL:
                 raise LpError(f"slack program came back {out.status}")
-            x = out.x[:n]
             added = False
-            for agent in range(spec.n_agents):
-                if values[agent].shape[1] == 0:
-                    continue
-                pays = np.array([x[list(c.members)].sum() for c in allowed[agent]])
-                gaps = values[agent] - pays  # (K_i, n_allowed)
+            for agent, gaps in enumerate(_gaps(values, allowed, out.x[:n])):
                 zv = out.x[n + zeta_offset[agent] : n + zeta_offset[agent] + counts[agent]]
-                worst = gaps.max(axis=1) - zv
+                worst = gaps.max(axis=1, initial=-np.inf) - zv
                 for k in np.flatnonzero(worst > _VIOLATION_TOL):
                     pos = int(np.argmax(gaps[int(k)]))
                     key = (agent, int(k), pos)
@@ -186,8 +166,8 @@ def solve_zeta_program(spec: GameSpec, samples: PrivateSamples) -> ZetaSolution:
         extra_a.append(cap.reshape(1, -1))
         extra_b.append(np.array([-(out.objective + _TIE_TOL)]))
 
-    zeta = _pointwise_slacks(spec, samples, values, allowed, x)
-    zeta = tuple(np.maximum(z, 0.0) for z in zeta)
+    # the pointwise minimal slacks for x: max(0, u - x(S)) per sample
+    zeta = tuple(np.maximum(0.0, g.max(axis=1, initial=-np.inf)) for g in _gaps(values, allowed, x))
     s_star, s_sens = complexity_counts_from_slacks(zeta)
     return ZetaSolution(
         x_star=x.copy(),
@@ -236,35 +216,16 @@ def zeta_certificate(
     sampling distribution may be degenerate (value ties would void the
     non-accumulation requirement behind the statement).
     """
-    if not len(split.per_agent) == len(s_star) == len(counts):
-        raise ValueError("split, complexity counts, and sample counts must align")
-    rows = []
-    total = 0.0
-    for agent, (beta_i, s_i, k_i) in enumerate(zip(split.per_agent, s_star, counts)):
-        t_i, eps_bar = solve_campi_polynomial(k_i, beta_i, n_agents, s_i)
-        total += eps_bar
-        rows.append(
-            {
-                "agent": agent + 1,
-                "samples": int(k_i),
-                "beta": beta_i,
-                "s_star": int(s_i),
-                "t": t_i,
-                "term": eps_bar,
-            }
-        )
     warning = None if assumption_continuous else (
         "distribution may be degenerate: the non-accumulation assumption "
         "behind this certificate is not guaranteed"
     )
-    return RiskCertificate(
-        method=METHOD_RELAXED_ALLOCATION,
-        epsilon=min(1.0, total),
-        beta=split.total,
-        per_agent=tuple(rows),
-        provenance={"split": split.strategy, **(provenance or {})},
-        warning=warning,
-    )
+
+    def level(agent, k_i, beta_i, s_i):
+        t_i, eps_bar = solve_campi_polynomial(k_i, beta_i, n_agents, s_i)
+        return {"s_star": s_i, "t": t_i, "term": eps_bar}
+
+    return summed_certificate(METHOD_RELAXED_ALLOCATION, split, s_star, counts, level, provenance or {}, warning)
 
 
 def zeta_membership(
@@ -282,9 +243,9 @@ def zeta_membership(
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.n_agents,):
-        raise ValueError("allocation length does not match the agent count")
+        raise GameSpecError("allocation length does not match the agent count")
     if any(z < 0 for z in zeta_bar):
-        raise ValueError("relaxations must be nonnegative")
+        raise CoalisureError("relaxations must be nonnegative")
     if abs(x.sum() - spec.grand_value) > tol:
         return False
     for coalition in enumerate_subcoalitions(spec):

@@ -6,7 +6,8 @@ enumeration, double loops for maxima, grid search for emptiness,
 high-precision term summation and an incomplete-beta sign evaluator for
 the certificate polynomial, coverage trials run one method at a time,
 each with its own fresh draw, and fresh uniform draws by one broadcast
-over the whole array.
+over the whole array.  The minimal-compression search enumerates sample
+subsets in increasing size and compares cores by LP.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ import mpmath as mp
 import numpy as np
 from scipy.special import betainc
 
-from coalisure import scenario_core, validation
+from coalisure import compression, lp, scenario_core, validation
 from coalisure.errors import CoalisureError, EmptyCoreError, GuardError
-from coalisure.game import Coalition, GameSpec, ValueModel
+from coalisure.game import Coalition, GameSpec, ValueModel, enumerate_subcoalitions
 from coalisure.risk import _PolyTerms, log_binom
-from coalisure.sampling import _FRESH_TAG, draw_fresh, draw_private
+from coalisure.sampling import _FRESH_TAG, PrivateSamples, draw_fresh, draw_private
 from coalisure.scenario_core import _VERTEX_DEDUP_TOL, VERTEX_GUARD_AGENTS
 
 
@@ -344,3 +345,115 @@ def per_method_trial(config, trial):
         )
     except CoalisureError as exc:
         return validation.TrialResult(trial, master_seed, fresh_seed, error=f"{type(exc).__name__}: {exc}")
+
+
+# --- minimal compression by exhaustive search ------------------------------
+
+BRUTE_FORCE_GUARD = 12
+
+
+def _same_core_set(spec: GameSpec, full: scenario_core.TightenedBounds, rebuilt: dict[int, float]) -> bool:
+    """Set equality of the two cores (rebuilt bounds are never larger).
+
+    The rebuilt core contains the full one, so equality reduces to: for
+    every coalition, the rebuilt core cannot pay the coalition less than
+    the full bound.  Checked by one LP minimum per coalition.
+    """
+    coalitions = enumerate_subcoalitions(spec)
+    if all(rebuilt[c.mask] == full.value(c) for c in coalitions):
+        return True
+    n = spec.n_agents
+    finite = [c for c in coalitions if np.isfinite(rebuilt[c.mask])]
+    a = np.array([c.indicator(n) for c in finite]) if finite else None
+    b = np.array([rebuilt[c.mask] for c in finite]) if finite else None
+    probe = lp.LinearProgram.build(
+        np.zeros(n), a_eq=[np.ones(n)], b_eq=[spec.grand_value], a_ge=a, b_ge=b
+    )
+    if not lp.feasible(probe).is_optimal:
+        # rebuilt core empty ⇒ full core empty too ⇒ equal as sets
+        return True
+    full_empty = scenario_core.is_empty(scenario_core.build(spec, full))
+    if full_empty:
+        return False  # rebuilt nonempty, full empty
+    for c in coalitions:
+        if rebuilt[c.mask] == full.value(c):
+            continue
+        out = lp.solve(
+            lp.LinearProgram.build(
+                c.indicator(n), a_eq=[np.ones(n)], b_eq=[spec.grand_value], a_ge=a, b_ge=b
+            )
+        )
+        if out.status == lp.UNBOUNDED:
+            return False
+        if out.objective < full.value(c) - 1e-9:
+            return False
+    return True
+
+
+def _witness_sets(spec: GameSpec, samples: PrivateSamples, values, full):
+    """For each non-redundant coalition, the (agent, k) pairs attaining its
+    bound.  Any polytope-preserving subset must hit every one of these sets:
+    dropping a non-redundant bound strictly enlarges the core."""
+    n = spec.n_agents
+    coalitions = enumerate_subcoalitions(spec)
+    a_rows = {c.mask: c.indicator(n) for c in coalitions}
+    needed = []
+    for c in coalitions:
+        others = [o for o in coalitions if o.mask != c.mask]
+        probe = lp.solve(
+            lp.LinearProgram.build(
+                a_rows[c.mask],
+                a_eq=[np.ones(n)],
+                b_eq=[spec.grand_value],
+                a_ge=np.array([a_rows[o.mask] for o in others]) if others else None,
+                b_ge=np.array([full.value(o) for o in others]) if others else None,
+            )
+        )
+        if probe.status == lp.UNBOUNDED or (
+            probe.is_optimal and probe.objective < full.value(c) - 1e-9
+        ):
+            witnesses = frozenset(
+                (agent, k)
+                for agent in c.members
+                for k in np.flatnonzero(values[agent][:, spec.allowed(agent).index(c)] == full.value(c))
+            )
+            needed.append(witnesses)
+    return needed
+
+
+def brute_force_min_compression(spec: GameSpec, samples: PrivateSamples) -> compression.CompressionSet:
+    """Smallest sample subset whose core equals the full-sample core.
+
+    Subsets are enumerated in increasing cardinality and lexicographic
+    order over (agent, index) pairs; equality is set equality of the two
+    polytopes.  A necessary witness filter (every non-redundant bound must
+    keep a sample attaining it) prunes the enumeration before the LP
+    containment check runs.  Guarded to tiny sample totals.
+    """
+    if samples.total > BRUTE_FORCE_GUARD:
+        raise GuardError(
+            f"brute-force search is guarded to <= {BRUTE_FORCE_GUARD} samples"
+        )
+    full = scenario_core.tighten(spec, samples)
+    values = scenario_core.value_table(spec, samples)
+    core_empty = scenario_core.is_empty(scenario_core.build(spec, full))
+    needed = [] if core_empty else _witness_sets(spec, samples, values, full)
+    universe = [
+        (agent, k)
+        for agent in range(samples.n_agents)
+        for k in range(samples.counts[agent])
+    ]
+    for size in range(len(universe) + 1):
+        for subset in combinations(universe, size):
+            chosen = set(subset)
+            if any(not (w & chosen) for w in needed):
+                continue
+            selection = tuple(
+                tuple(k for a, k in subset if a == agent)
+                for agent in range(samples.n_agents)
+            )
+            rebuilt = compression.rebuild_bounds(spec, samples, selection, values)
+            if _same_core_set(spec, full, rebuilt):
+                recruiters = tuple({} for _ in range(samples.n_agents))
+                return compression.CompressionSet(selection, recruiters, mode_tag="brute-force")
+    raise AssertionError("the full sample set is always a compression of itself")

@@ -24,8 +24,10 @@ from coalisure.game import Coalition, GameSpec, ValueModel
 from coalisure.sampling import DistributionSpec, draw_private
 
 from oracles import (
+    BRUTE_FORCE_GUARD,
     _poly_normalized,
     _poly_signs_fast,
+    brute_force_min_compression,
     grid_core_empty,
     mp_closed_form_epsilon,
     mp_poly_normalized,
@@ -141,12 +143,12 @@ class TestCriterion4CompressionValidity:
             n = 2 if trial % 3 == 0 else 3
             spec = random_affine_game(rng, n_agents=n, regime="nonempty")
             counts = tuple(int(k) for k in rng.integers(1, 7, size=n))
-            while sum(counts) > cp.BRUTE_FORCE_GUARD:
+            while sum(counts) > BRUTE_FORCE_GUARD:
                 counts = tuple(int(k) for k in rng.integers(1, 7, size=n))
             samples = draw_private(UNIT2, counts, 100_000 + trial)
             cset = cp.compress_all(spec, samples)
             assert cp.compression_reproduces_bounds(spec, samples, cset.per_agent)
-            brute = cp.brute_force_min_compression(spec, samples)
+            brute = brute_force_min_compression(spec, samples)
             assert cset.total >= brute.total
             checked += 1
         assert checked == 100

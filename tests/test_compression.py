@@ -7,7 +7,7 @@ from coalisure.errors import GuardError
 from coalisure.game import Coalition, GameSpec, ValueModel
 from coalisure.sampling import DistributionSpec, PrivateSamples, draw_private
 
-from oracles import random_affine_game
+from oracles import BRUTE_FORCE_GUARD, _same_core_set, brute_force_min_compression, random_affine_game
 
 C1, C2, C3 = Coalition.of(0), Coalition.of(1), Coalition.of(2)
 UNIT2 = DistributionSpec.uniform([0.0, 0.0], [1.0, 1.0])
@@ -151,7 +151,7 @@ class TestSetEquality:
             full = sc.tighten(spec, samples)
             assert rebuilt[C1.mask] < full.value(C1)  # the drop actually happens
             assert not cp.compression_reproduces_bounds(spec, samples, cset.per_agent)
-            assert cp._same_core_set(spec, full, rebuilt)
+            assert _same_core_set(spec, full, rebuilt)
 
 
 class TestBruteForce:
@@ -159,14 +159,14 @@ class TestBruteForce:
         model = ValueModel.affine(1, {C1: (0.0, [1.0]), C2: (0.0, [1.0])})
         spec = GameSpec(2, 10.0, model)
         samples = manual_samples([[0.7], [0.4]])
-        cset = cp.brute_force_min_compression(spec, samples)
+        cset = brute_force_min_compression(spec, samples)
         assert cset.per_agent == ((0,), (0,))
 
     def test_duplicates_need_one_representative(self):
         model = ValueModel.affine(1, {C1: (0.0, [1.0]), C2: (0.0, [1.0])})
         spec = GameSpec(2, 10.0, model)
         samples = manual_samples([[0.7, 0.7, 0.7], [0.4, 0.4]])
-        cset = cp.brute_force_min_compression(spec, samples)
+        cset = brute_force_min_compression(spec, samples)
         assert cset.cardinalities == (1, 1)
         assert cset.per_agent == ((0,), (0,))
 
@@ -175,18 +175,18 @@ class TestBruteForce:
         spec = GameSpec(2, 10.0, model)
         samples = manual_samples([np.linspace(0, 1, 8), np.linspace(0, 1, 8)])
         with pytest.raises(GuardError):
-            cp.brute_force_min_compression(spec, samples)
+            brute_force_min_compression(spec, samples)
 
     def test_never_larger_than_distributed_output(self):
         rng = np.random.default_rng(303)
         for trial in range(15):
             spec = generous_game(rng)
             counts = tuple(int(k) for k in rng.integers(2, 5, size=3))
-            if sum(counts) > cp.BRUTE_FORCE_GUARD:
+            if sum(counts) > BRUTE_FORCE_GUARD:
                 continue
             samples = draw_private(UNIT2, counts, 444 + trial)
             alg = cp.compress_all(spec, samples)
-            brute = cp.brute_force_min_compression(spec, samples)
+            brute = brute_force_min_compression(spec, samples)
             assert brute.total <= alg.total
 
     def test_strictly_smaller_when_a_constraint_is_redundant(self):
@@ -216,6 +216,6 @@ class TestBruteForce:
         )
         alg = cp.compress_all(spec, samples)
         assert 1 in alg.per_agent[0]  # the pair recruited its witness
-        brute = cp.brute_force_min_compression(spec, samples)
+        brute = brute_force_min_compression(spec, samples)
         assert brute.per_agent == ((0,), (0,), (0,))
         assert brute.total < alg.total

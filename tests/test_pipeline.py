@@ -151,10 +151,11 @@ class TestValueTable:
         table = scenario_core.value_table(spec, samples)
         assert len(table) == spec.n_agents
         for agent in range(spec.n_agents):
-            assert sorted(table[agent]) == [c.mask for c in spec.allowed(agent)]
-            for c in spec.allowed(agent):
+            assert table[agent].shape == (samples.counts[agent], len(spec.allowed(agent)))
+            assert not table[agent].flags.writeable
+            for j, c in enumerate(spec.allowed(agent)):
                 direct = spec.value_model.value_batch(c, samples.per_agent[agent])
-                assert np.array_equal(table[agent][c.mask], direct)
+                assert np.array_equal(table[agent][:, j], direct)
 
     def test_rejects_samples_for_another_game(self):
         spec = GameSpec.from_json_dict(README_GAME)
