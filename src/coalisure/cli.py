@@ -37,7 +37,7 @@ Config schema (JSON object)::
                     | {"kind": "gaussian", "mean": [..], "cov": [[..]]}
                     | {"kind": "mixture", "weights": [..], "components": [..]},
       "counts": [50, 50, 50],               // per-agent sample counts K_i
-      "master_seed": 20240901,
+      "master_seed": 20240901,             // >= 0
       "beta": 0.2,                          // total confidence budget, in (0,1)
       "beta_split": "equal" | "proportional" | [b_1, ..., b_N],
       "epsilon": 0.1,                       // a number in (0,1); required by
@@ -94,11 +94,16 @@ def _require(doc: dict, key: str, kind, where: str = "config"):
     if key not in doc:
         raise ConfigError(f"{where}: missing required field {key!r}")
     value = doc[key]
-    if kind is float and isinstance(value, int):
+    if kind is float and type(value) is int:
         value = float(value)
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind in (int, float) and isinstance(value, bool)):
         raise ConfigError(f"{where}: field {key!r} must be {kind.__name__}")
     return value
+
+
+def _is_count(value) -> bool:
+    """A JSON integer >= 1 (``true`` is not a count)."""
+    return type(value) is int and value >= 1
 
 
 def load_config(path: Path) -> ExperimentConfig:
@@ -117,11 +122,13 @@ def load_config(path: Path) -> ExperimentConfig:
     except CoalisureError as exc:
         raise ConfigError(str(exc)) from exc
     counts = _require(doc, "counts", list)
-    if len(counts) != spec.n_agents or any(not isinstance(k, int) or k < 1 for k in counts):
+    if len(counts) != spec.n_agents or not all(_is_count(k) for k in counts):
         raise ConfigError("counts must list one positive integer per agent")
     if dist.dim != spec.uncertainty_dim:
         raise ConfigError("distribution dimension does not match the game")
     master_seed = _require(doc, "master_seed", int)
+    if master_seed < 0:
+        raise ConfigError("master_seed must be a non-negative integer")
     beta = _require(doc, "beta", float)
     if not 0.0 < beta < 1.0:
         raise ConfigError("beta must lie in (0,1)")
@@ -132,7 +139,10 @@ def load_config(path: Path) -> ExperimentConfig:
         beta_split = tuple(float(b) for b in beta_split)
     elif beta_split not in ("equal", "proportional"):
         raise ConfigError("beta_split must be 'equal', 'proportional', or a list")
-    methods = tuple(doc.get("methods", list(risk.ALL_METHODS)))
+    methods = doc.get("methods", list(risk.ALL_METHODS))
+    if not isinstance(methods, list):
+        raise ConfigError("methods must be a list of certificate method names")
+    methods = tuple(methods)
     for m in methods:
         if m not in risk.ALL_METHODS:
             raise ConfigError(
@@ -145,7 +155,7 @@ def load_config(path: Path) -> ExperimentConfig:
     n_fresh = val.get("n_fresh", 10000)
     validation_seed = val.get("seed", master_seed)
     for name, v in (("trials", trials), ("n_fresh", n_fresh), ("seed", validation_seed)):
-        if not isinstance(v, int) or v < 1:
+        if not _is_count(v):
             raise ConfigError(f"validation.{name} must be a positive integer")
     epsilon = doc.get("epsilon")
     if epsilon is not None:
@@ -157,10 +167,11 @@ def load_config(path: Path) -> ExperimentConfig:
     comp = doc.get("compression", {})
     if not isinstance(comp, dict):
         raise ConfigError("compression must be an object")
-    mode = compression.CompressionMode(
-        efficiency=bool(comp.get("efficiency", True)),
-        nonnegative=bool(comp.get("nonnegative", False)),
-    )
+    toggles = {"efficiency": comp.get("efficiency", True), "nonnegative": comp.get("nonnegative", False)}
+    for name, v in toggles.items():
+        if type(v) is not bool:
+            raise ConfigError(f"compression.{name} must be true or false")
+    mode = compression.CompressionMode(**toggles)
     return ExperimentConfig(
         spec=spec,
         dist=dist,
@@ -271,7 +282,9 @@ _out_option = click.option(
     "--out", "out", type=click.Path(path_type=Path), required=True,
     help="Output directory (created if missing).",
 )
-_seed_option = click.option("--seed", type=int, default=None, help="Override master_seed.")
+_seed_option = click.option(
+    "--seed", type=click.IntRange(min=0), default=None, help="Override master_seed."
+)
 _samples_option = click.option(
     "--samples", "samples_path", type=click.Path(path_type=Path), default=None,
     help="Samples CSV (default: OUT/samples.csv).",

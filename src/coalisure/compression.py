@@ -99,31 +99,31 @@ def compress_agent(
     For each coalition S' the agent may join, solve the feasibility program
     that pins S' at the agent's sampled maximum while every other coalition
     of the agent keeps its inequality; feasibility marks the maximizing
-    sample (the lowest index among ties) as essential.  ``values`` is the
-    sample set's :func:`scenario_core.value_table`, evaluated here when not
-    given.
+    sample (the lowest index among ties) as essential.  The agent's
+    programs differ only in which row is pinned, so they are one
+    :class:`lp.Model` re-solved once per pin.  ``values`` is the sample
+    set's :func:`scenario_core.value_table`, evaluated here when not given.
     """
     allowed = spec.allowed(agent)
+    if not allowed:
+        return [], {}
     if values is None:
         values = scenario_core.value_table(spec, samples)
     top, first = scenario_core.column_maxima(values[agent])
     n = spec.n_agents
-    rows = np.array([c.indicator(n) for c in allowed])
-    picked: dict[int, list[Coalition]] = {}
-    for j, pinned in enumerate(allowed):
-        a_eq, b_eq = [rows[j]], [top[j]]
-        if mode.efficiency:
-            a_eq.append(np.ones(n))
-            b_eq.append(spec.grand_value)
-        prog = lp.LinearProgram.build(
+    model = lp.Model(
+        lp.LinearProgram.build(
             np.zeros(n),
-            a_eq=np.array(a_eq),
-            b_eq=np.array(b_eq),
-            a_ge=np.delete(rows, j, axis=0),
-            b_ge=np.delete(top, j),
+            a_eq=[np.ones(n)] if mode.efficiency else None,
+            b_eq=[spec.grand_value] if mode.efficiency else None,
+            a_ge=np.array([c.indicator(n) for c in allowed]),
+            b_ge=top,
             lower_bounds=np.zeros(n) if mode.nonnegative else None,
         )
-        if lp.feasible(prog).is_optimal:
+    )
+    picked: dict[int, list[Coalition]] = {}
+    for j, pinned in enumerate(allowed):
+        if model.pinned(j).is_optimal:
             picked.setdefault(int(first[j]), []).append(pinned)
     indices = sorted(picked)
     return indices, {k: tuple(picked[k]) for k in indices}
@@ -133,9 +133,14 @@ def compress_all(
     spec: GameSpec,
     samples: PrivateSamples,
     mode: CompressionMode = CompressionMode.default(),
+    values: list[np.ndarray] | None = None,
 ) -> CompressionSet:
-    """Run the per-agent compression for every agent and merge the results."""
-    values = scenario_core.value_table(spec, samples)
+    """Run the per-agent compression for every agent and merge the results.
+
+    ``values`` is the sample set's value table, evaluated here when not given.
+    """
+    if values is None:
+        values = scenario_core.value_table(spec, samples)
     per_agent = []
     recruiters = []
     for agent in range(spec.n_agents):

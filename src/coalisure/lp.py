@@ -2,28 +2,50 @@
 
 Every program in the package (core emptiness and coalition minima, the
 per-agent compression feasibility programs, the lexicographic selections
-and the zeta slack program) goes through ``solve``.  The backend is HiGHS
-(Huangfu & Hall, "Parallelizing the dual revised simplex method",
-*Math. Prog. Comp.* 10, 2018), called through scipy's bindings in
-``scipy.optimize._highspy._core``: each call fills a ``HighsLp`` with the
-rows ``[A_eq; A_ge]`` (equality rows bounded to ``[b, b]``, inequality rows
-to ``[b, inf)``), a column-wise sparse matrix and the column lower bounds,
-and runs a fresh ``_Highs`` instance on it.  Options: ``output_flag=False``,
-``threads=1`` and primal and dual feasibility tolerances of ``TOL = 1e-9``;
-with one thread and HiGHS's fixed default random seed, identical inputs
-give bit-identical solutions.
+and the zeta slack program) runs in a :class:`Model`: one ``_Highs``
+instance of scipy's bindings in ``scipy.optimize._highspy._core`` for the
+HiGHS dual revised simplex (Huangfu & Hall, "Parallelizing the dual
+revised simplex method", *Math. Prog. Comp.* 10, 2018).  A model is filled
+once with the rows ``[A_eq; A_ge]`` (equality rows bounded to ``[b, b]``,
+inequality rows to ``[b, inf)``), a column-wise sparse matrix and the
+column lower bounds.  Options: ``output_flag=False``, ``threads=1`` and
+primal and dual feasibility tolerances of ``TOL = 1e-9``.
+
+One constraint system is one model.  A family of programs over it (a
+coalition's minimum under each cost, one pinned row per compression
+program, cap rows appended by a lexicographic selection or violated rows
+by row generation) is a sequence of re-solves, each starting from the
+basis the previous one left, instead of a fresh instance per program.
+The first solve of a model is cold and runs the dual simplex.  A re-solve
+under a new cost starts from a primal feasible basis and runs the primal
+simplex; a pinned row or appended rows leave the basis dual feasible, and
+those re-solves run the dual simplex.  (After a cost change the dual
+simplex, too, ends within the 1e-9 tolerances of the optimum, but on
+degenerate cores with 1e-9 caps it can stop 1e-9 short of the point a cold
+solve returns.)  ``solve`` and ``feasible`` are one-shot models.
+
+With one thread and HiGHS's fixed default random seed, a model's answers
+are a function of its program and of the sequence of re-solves before
+them: identical inputs solved in the same order give bit-identical
+solutions, and callers fix that order (coalition minima in
+``coalitions()`` order, pins in ``allowed(i)`` order).  A warm answer may
+differ in the last bits from a cold solve of the same program.
 
 Model status ``kOptimal``, ``kInfeasible`` and ``kUnbounded`` map to
 ``OPTIMAL``, ``INFEASIBLE`` and ``UNBOUNDED``.  ``kUnboundedOrInfeasible``
 (dual infeasibility found before primal feasibility was decided) is settled
-by re-solving with a zero objective: a feasible point means unbounded.
-Any other status raises ``LpNumericalError``, as does an optimal point
-whose worst constraint or bound violation exceeds ``1e2 * TOL``.
+by re-solving with a zero objective: a feasible point means unbounded.  An
+optimal point must pass the residual check: no constraint or bound may be
+violated by more than ``1e2 * TOL``, and a pinned row counts as an
+equality.  A re-solve that ends with any other status or fails the
+residual check is solved once more from scratch in the same model
+(``clearSolver``); only if that fails too, or if the model's first (cold)
+solve fails, does ``LpNumericalError`` follow.
 
 The public wrappers ``scipy.optimize.linprog`` and ``milp`` solve the same
 programs with the same HiGHS, but validate their inputs and options in
 Python on every call: on a 3-variable, 7-row core program they cost
-about 2.0 and 1.2 ms per call against 0.42 ms for the model object here
+about 2.0 and 1.2 ms per call against 0.42 ms for a fresh model here
 (2-CPU x86-64 VM, BLAS on one thread), and every coverage trial solves
 several such programs.  The bindings are scipy-internal, so this module is
 the only place that imports them; they exist from scipy 1.15 on.
@@ -31,7 +53,7 @@ the only place that imports them; they exist from scipy 1.15 on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -66,6 +88,7 @@ def _options():
 
 
 _OPTIONS = _options()  # read-only after import; passOptions copies it
+_PRIMAL_SIMPLEX = 4  # HiGHS simplex_strategy value for the primal simplex
 
 
 def _as_matrix(a, n_cols: int, name: str) -> np.ndarray:
@@ -143,15 +166,15 @@ class LpOutcome:
         return self.status == OPTIMAL
 
 
-def _run(lp: LinearProgram, cost: np.ndarray):
-    """One HiGHS solve of ``lp`` under ``cost``: (model status, x or None)."""
+def _highs_lp(lp: LinearProgram):
+    """The program as a ``HighsLp``: rows ``[A_eq; A_ge]``, column-wise."""
     n, m = lp.n_vars, lp.b_eq.size + lp.b_ge.size
     a_t = np.vstack([lp.a_eq, lp.a_ge]).T  # a_t[j] is column j of the rows
     cols, rows = np.nonzero(a_t)  # sorted by column, then row
     model = _highs.HighsLp()
     model.num_col_ = n
     model.num_row_ = m
-    model.col_cost_ = cost
+    model.col_cost_ = lp.objective
     model.col_lower_ = np.full(n, -np.inf) if lp.lower_bounds is None else lp.lower_bounds
     model.col_upper_ = np.full(n, np.inf)
     model.row_lower_ = np.concatenate([lp.b_eq, lp.b_ge])
@@ -163,54 +186,133 @@ def _run(lp: LinearProgram, cost: np.ndarray):
     matrix.start_ = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
     matrix.index_ = rows
     matrix.value_ = a_t[cols, rows]
+    return model
 
-    highs = _highs._Highs()
-    highs.passOptions(_OPTIONS)
-    if highs.passModel(model) == _highs.HighsStatus.kError:
-        raise LpNumericalError("HiGHS rejected the model")
-    if highs.run() == _highs.HighsStatus.kError:
-        raise LpNumericalError("HiGHS run failed")
-    status = highs.getModelStatus()
-    if status != _MS.kOptimal:
-        return status, None
-    return status, np.array(highs.getSolution().col_value)
+
+class Model:
+    """One HiGHS instance holding one constraint system.
+
+    Built from a :class:`LinearProgram`, it re-solves under a new cost
+    (:meth:`minimize`), with one ``>=`` row held at equality
+    (:meth:`pinned`) and after ``>=`` rows are appended (:meth:`add_rows`);
+    each re-solve starts from the basis the previous one left.  ``program``
+    is the current system, so outcomes report slacks for every row.  A
+    model is not shared between threads.
+    """
+
+    def __init__(self, program: LinearProgram):
+        self.program = program
+        self._cost = program.objective
+        self._solved = False
+        self._simplex = _OPTIONS.simplex_strategy
+        self._highs = _highs._Highs()
+        self._highs.passOptions(_OPTIONS)
+        if self._highs.passModel(_highs_lp(program)) == _highs.HighsStatus.kError:
+            raise LpNumericalError("HiGHS rejected the model")
+
+    def minimize(self, cost=None) -> LpOutcome:
+        """Minimize ``cost`` (default: the current cost) over the system."""
+        if cost is not None:
+            self._set_cost(np.asarray(cost, dtype=float))
+        return self._solve(primal=cost is not None)
+
+    def pinned(self, row: int) -> LpOutcome:
+        """Minimize with ``>=`` row ``row`` held at equality, then restore it."""
+        at = self.program.b_eq.size + row
+        bound = float(self.program.b_ge[row])
+        self._highs.changeRowBounds(at, bound, bound)
+        try:
+            return self._solve(pin=row)
+        finally:
+            self._highs.changeRowBounds(at, bound, np.inf)
+
+    def add_rows(self, a, b) -> None:
+        """Append the rows ``a x >= b``."""
+        p = self.program
+        a = _as_matrix(a, p.n_vars, "a")
+        b = np.asarray(b, dtype=float).ravel()
+        rows, cols = np.nonzero(a)  # sorted by row, then column
+        starts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=b.size))[:-1]])
+        self._highs.addRows(
+            b.size, b, np.full(b.size, np.inf), rows.size,
+            starts.astype(np.int32), cols.astype(np.int32), a[rows, cols],
+        )
+        self.program = LinearProgram(
+            p.objective, p.a_eq, p.b_eq, np.vstack([p.a_ge, a]), np.concatenate([p.b_ge, b]), p.lower_bounds
+        )
+
+    def _strategy(self, strategy: int) -> None:
+        if strategy != self._simplex:
+            self._highs.setOptionValue("simplex_strategy", strategy)
+            self._simplex = strategy
+
+    def _set_cost(self, cost: np.ndarray) -> None:
+        n = self.program.n_vars
+        self._highs.changeColsCost(n, np.arange(n, dtype=np.int32), cost)
+        self._cost = cost
+
+    def _run(self):
+        if self._highs.run() == _highs.HighsStatus.kError:
+            raise LpNumericalError("HiGHS run failed")
+        return self._highs.getModelStatus()
+
+    def _status(self):
+        status = self._run()
+        if status == _MS.kUnboundedOrInfeasible:
+            # a zero objective cannot be unbounded, so feasibility decides
+            cost = self._cost
+            self._set_cost(np.zeros(self.program.n_vars))
+            probe = self._run()
+            self._set_cost(cost)
+            status = {_MS.kOptimal: _MS.kUnbounded, _MS.kUnboundedOrInfeasible: _MS.kInfeasible}.get(
+                probe, probe
+            )
+        return status
+
+    def _solve(self, pin: int | None = None, primal: bool = False) -> LpOutcome:
+        # a warm answer that is undecided or fails the residual check is
+        # solved once more from scratch before it counts as an error
+        for attempt in range(2 if self._solved else 1):
+            if attempt:
+                self._highs.clearSolver()
+            warm = self._solved and not attempt
+            self._strategy(_PRIMAL_SIMPLEX if primal and warm else _OPTIONS.simplex_strategy)
+            self._solved = True
+            status = self._status()
+            verdict = _STATUS.get(status)
+            if verdict is None:
+                failure = f"HiGHS ended with model status {status.name}"
+                continue
+            if verdict != OPTIMAL:
+                return LpOutcome(verdict, None, None, None, None)
+            x = np.array(self._highs.getSolution().col_value)
+            out, worst = self._outcome(x, pin)
+            if worst <= 1e2 * TOL:
+                return out
+            failure = f"residual {worst:.3e} exceeds tolerance after solve"
+        raise LpNumericalError(failure)
+
+    def _outcome(self, x: np.ndarray, pin: int | None) -> tuple[LpOutcome, float]:
+        """The optimal outcome at ``x`` and its worst constraint or bound
+        violation (a pinned row counts as an equality)."""
+        p = self.program
+        slack_eq = p.a_eq @ x - p.b_eq if p.a_eq.size else np.zeros(0)
+        slack_ge = p.a_ge @ x - p.b_ge if p.a_ge.size else np.zeros(0)
+        worst = float(np.abs(slack_eq).max(initial=0.0))
+        worst = max(worst, float(-slack_ge.min(initial=0.0)))
+        if pin is not None:
+            worst = max(worst, abs(float(slack_ge[pin])))
+        if p.lower_bounds is not None:
+            finite = np.isfinite(p.lower_bounds)
+            worst = max(worst, float((p.lower_bounds[finite] - x[finite]).max(initial=0.0)))
+        return LpOutcome(OPTIMAL, x, float(self._cost @ x), slack_eq, slack_ge), worst
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
     """Minimize over the program; deterministic for identical inputs."""
-    status, x = _run(lp, lp.objective)
-    if status == _MS.kUnboundedOrInfeasible:
-        # a zero objective cannot be unbounded, so feasibility decides
-        probe, _ = _run(lp, np.zeros(lp.n_vars))
-        status = {_MS.kOptimal: _MS.kUnbounded, _MS.kUnboundedOrInfeasible: _MS.kInfeasible}.get(
-            probe, probe
-        )
-    verdict = _STATUS.get(status)
-    if verdict is None:
-        raise LpNumericalError(f"HiGHS ended with model status {status.name}")
-    if verdict != OPTIMAL:
-        return LpOutcome(verdict, None, None, None, None)
-
-    slack_eq = lp.a_eq @ x - lp.b_eq if lp.a_eq.size else np.zeros(0)
-    slack_ge = lp.a_ge @ x - lp.b_ge if lp.a_ge.size else np.zeros(0)
-    worst = 0.0
-    if slack_eq.size:
-        worst = max(worst, float(np.abs(slack_eq).max()))
-    if slack_ge.size:
-        worst = max(worst, float(max(0.0, -slack_ge.min())))
-    if lp.lower_bounds is not None:
-        lbv = lp.lower_bounds
-        finite = np.isfinite(lbv)
-        if finite.any():
-            worst = max(worst, float(max(0.0, (lbv[finite] - x[finite]).max())))
-    if worst > 1e2 * TOL:
-        raise LpNumericalError(f"residual {worst:.3e} exceeds tolerance after solve")
-    return LpOutcome(OPTIMAL, x, float(lp.objective @ x), slack_eq, slack_ge)
+    return Model(lp).minimize()
 
 
 def feasible(lp: LinearProgram) -> LpOutcome:
     """Feasibility check: solve with a zero objective, return any feasible point."""
-    zero = LinearProgram(
-        np.zeros(lp.n_vars), lp.a_eq, lp.b_eq, lp.a_ge, lp.b_ge, lp.lower_bounds
-    )
-    return solve(zero)
+    return solve(replace(lp, objective=np.zeros(lp.n_vars)))

@@ -79,6 +79,18 @@ class ScenarioCoreDesc:
         a.flags.writeable = b.flags.writeable = False
         return a, b
 
+    @cached_property
+    def _minima(self) -> dict[int, float] | None:
+        """Every coalition's minimum payoff over the core, by mask, from one
+        model re-solved in ``coalitions()`` order; ``None`` for an empty core."""
+        model = lp.Model(_core_lp(self, np.zeros(self.n_agents)))
+        minima = {}
+        for c in self.coalitions():
+            minima[c.mask] = _minimum(model.minimize(c.indicator(self.n_agents)))
+            if minima[c.mask] is None:
+                return None
+        return minima
+
     def to_json_dict(self) -> dict:
         return {
             "schema_version": 1,
@@ -126,16 +138,21 @@ def column_maxima(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[first, np.arange(values.shape[1])], first
 
 
-def tighten(spec: GameSpec, samples: PrivateSamples) -> TightenedBounds:
+def tighten(
+    spec: GameSpec, samples: PrivateSamples, values: list[np.ndarray] | None = None
+) -> TightenedBounds:
     """Compute every coalition's tightened bound from the private samples.
 
     Every member agent contributes (its allowed structure holds every
     coalition containing it); argmax ties break toward the lowest
-    (agent, sample) pair.
+    (agent, sample) pair.  ``values`` is the sample set's
+    :func:`value_table`, evaluated here when not given.
     """
+    if values is None:
+        values = value_table(spec, samples)
     maxima = []  # agent -> coalition mask -> (sampled max, first argmax)
-    for agent, values in enumerate(value_table(spec, samples)):
-        top, first = column_maxima(values)
+    for agent, vals in enumerate(values):
+        top, first = column_maxima(vals)
         maxima.append({c.mask: (float(v), int(k)) for c, v, k in zip(spec.allowed(agent), top, first)})
     entries: dict[int, BoundEntry] = {}
     for coalition in enumerate_subcoalitions(spec):
@@ -196,14 +213,25 @@ def coalition_min(core: ScenarioCoreDesc, coalition: Coalition) -> float:
     A fresh realization destabilizes the core exactly when some coalition's
     value exceeds this minimum, so these minima are the whole cost of the
     core-instability estimator.  Returns ``-inf`` when the core is
-    unbounded in that direction.
+    unbounded in that direction.  The first call solves every coalition's
+    minimum in ``core.coalitions()`` order and caches them on the core, so
+    a value does not depend on which coalition was asked for first.  A
+    coalition without a constraint row is solved on its own.
     """
-    out = lp.solve(_core_lp(core, coalition.indicator(core.n_agents)))
-    if out.status == lp.INFEASIBLE:
+    minima = core._minima
+    if minima is not None and coalition.mask not in minima:
+        minima = {coalition.mask: _minimum(lp.solve(_core_lp(core, coalition.indicator(core.n_agents))))}
+    if minima is None or minima[coalition.mask] is None:
         raise EmptyCoreError("coalition_min requires a non-empty core")
-    if out.status == lp.UNBOUNDED:
-        return -np.inf
-    return float(out.objective)
+    return minima[coalition.mask]
+
+
+def _minimum(out: lp.LpOutcome) -> float | None:
+    """A minimum over the core: ``None`` if the core is empty, ``-inf`` if
+    the objective is unbounded below."""
+    if out.status == lp.INFEASIBLE:
+        return None
+    return -np.inf if out.status == lp.UNBOUNDED else float(out.objective)
 
 
 def vertices(core: ScenarioCoreDesc) -> list[np.ndarray]:
@@ -251,30 +279,20 @@ def vertices(core: ScenarioCoreDesc) -> list[np.ndarray]:
 
 
 def lexicographic_allocation(core: ScenarioCoreDesc) -> np.ndarray:
-    """The core point minimizing x_1, then x_2, ... (deterministic selection)."""
+    """The core point minimizing x_1, then x_2, ... (deterministic selection).
+
+    One model: after coordinate j is minimized, the cap x_j <= v_j + 1e-9
+    is appended as a row and the next coordinate is re-solved warm.
+    """
     n = core.n_agents
-    a, b = core.constraint_rows()
-    a_extra: list[np.ndarray] = []
-    b_extra: list[float] = []
-    x = None
+    model = lp.Model(_core_lp(core, np.eye(n)[0]))
     for j in range(n):
-        obj = np.zeros(n)
-        obj[j] = 1.0
-        prog = lp.LinearProgram.build(
-            obj,
-            a_eq=[np.ones(n)],
-            b_eq=[core.grand_value],
-            a_ge=np.vstack([a] + a_extra) if a_extra else a,
-            b_ge=np.concatenate([b, b_extra]) if b_extra else b,
-        )
-        out = lp.solve(prog)
+        out = model.minimize(np.eye(n)[j])
         if out.status == lp.INFEASIBLE:
             raise EmptyCoreError("cannot select an allocation from an empty core")
         if out.status == lp.UNBOUNDED:
             raise LpError(f"core is unbounded below in coordinate {j + 1}")
-        x = out.x
-        row = np.zeros(n)
-        row[j] = -1.0  # -x_j >= -(v_j + tol)  i.e.  x_j <= v_j + tol
-        a_extra.append(row)
-        b_extra.append(-(out.objective + 1e-9))
-    return x
+        if j < n - 1:
+            # -x_j >= -(v_j + tol)  i.e.  x_j <= v_j + tol
+            model.add_rows([-np.eye(n)[j]], [-(out.objective + 1e-9)])
+    return out.x

@@ -62,17 +62,21 @@ def clopper_pearson(hits: int, n: int, confidence: float = CP_CONFIDENCE) -> tup
 @dataclass(eq=False)
 class SampleSet:
     """Everything one private multi-sample determines, each computed at most
-    once: the scenario core, its lexicographic allocation, the compression
-    set and the slack-minimizing solution.  Every coverage trial builds its
-    own, so threads share none."""
+    once: the value table, the scenario core, its lexicographic allocation,
+    the compression set and the slack-minimizing solution.  Every coverage
+    trial builds its own, so threads share none."""
 
     spec: GameSpec
     samples: PrivateSamples
     mode: compression.CompressionMode
 
     @cached_property
+    def values(self) -> list[np.ndarray]:
+        return scenario_core.value_table(self.spec, self.samples)
+
+    @cached_property
     def core(self) -> scenario_core.ScenarioCoreDesc:
-        return scenario_core.build(self.spec, scenario_core.tighten(self.spec, self.samples))
+        return scenario_core.build(self.spec, scenario_core.tighten(self.spec, self.samples, self.values))
 
     @cached_property
     def allocation(self) -> np.ndarray:
@@ -80,7 +84,7 @@ class SampleSet:
 
     @cached_property
     def compression(self) -> compression.CompressionSet:
-        return compression.compress_all(self.spec, self.samples, self.mode)
+        return compression.compress_all(self.spec, self.samples, self.mode, self.values)
 
     @cached_property
     def zeta(self) -> zeta_core.ZetaSolution:

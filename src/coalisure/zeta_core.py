@@ -101,8 +101,8 @@ def solve_zeta_program(spec: GameSpec, samples: PrivateSamples) -> ZetaSolution:
     total_k = sum(counts)
     zeta_offset = np.concatenate([[0], np.cumsum(counts)])[:-1]
     n_vars = n + total_k
-    active = _binding_rows(spec, values, allowed)
-    seen = set(active)
+    seed_rows = _binding_rows(spec, values, allowed)
+    seen = set(seed_rows)
 
     lower = np.concatenate([np.full(n, -np.inf), np.zeros(total_k)])
     objective = np.concatenate([np.zeros(n), np.ones(total_k)])
@@ -117,54 +117,51 @@ def solve_zeta_program(spec: GameSpec, samples: PrivateSamples) -> ZetaSolution:
             b[r] = values[agent][k, pos]
         return a, b
 
+    def unit(j):
+        row = np.zeros(n_vars)
+        row[j] = 1.0
+        return row
+
     eff_row = np.zeros(n_vars)
     eff_row[:n] = 1.0
+    a_seed, b_seed = build_rows(seed_rows)
+    model = lp.Model(
+        lp.LinearProgram.build(
+            objective, a_eq=[eff_row], b_eq=[spec.grand_value],
+            a_ge=a_seed, b_ge=b_seed, lower_bounds=lower,
+        )
+    )
 
-    def run(cost, extra_a, extra_b):
-        """Solve with row generation until no (agent, sample, coalition)
-        constraint is violated; returns the LP outcome."""
+    def run(cost):
+        """Minimize ``cost``, appending violated (agent, sample, coalition)
+        rows until none remain; returns the LP outcome."""
+        out = model.minimize(cost)
         while True:
-            a_act, b_act = build_rows(active)
-            a_ge = np.vstack([a_act] + extra_a) if extra_a else a_act
-            b_ge = np.concatenate([b_act] + extra_b) if extra_b else b_act
-            out = lp.solve(
-                lp.LinearProgram.build(
-                    cost, a_eq=[eff_row], b_eq=[spec.grand_value],
-                    a_ge=a_ge, b_ge=b_ge, lower_bounds=lower,
-                )
-            )
             if out.status != lp.OPTIMAL:
                 raise LpError(f"slack program came back {out.status}")
-            added = False
+            added = []
             for agent, gaps in enumerate(_gaps(values, allowed, out.x[:n])):
                 zv = out.x[n + zeta_offset[agent] : n + zeta_offset[agent] + counts[agent]]
                 worst = gaps.max(axis=1, initial=-np.inf) - zv
                 for k in np.flatnonzero(worst > _VIOLATION_TOL):
-                    pos = int(np.argmax(gaps[int(k)]))
-                    key = (agent, int(k), pos)
+                    key = (agent, int(k), int(np.argmax(gaps[int(k)])))
                     if key not in seen:
                         seen.add(key)
-                        active.append(key)
-                        added = True
+                        added.append(key)
             if not added:
                 return out
+            model.add_rows(*build_rows(added))
+            out = model.minimize()
 
-    out = run(objective, [], [])
-    best = out.objective
+    out = run(objective)
 
     # lexicographic tie-break over x on the optimal face
-    extra_a = [-objective.reshape(1, -1)]
-    extra_b = [np.array([-(best + _TIE_TOL)])]
-    x = out.x[:n]
+    model.add_rows(-objective.reshape(1, -1), [-(out.objective + _TIE_TOL)])
     for j in range(n):
-        cost = np.zeros(n_vars)
-        cost[j] = 1.0
-        out = run(cost, extra_a, extra_b)
-        x = out.x[:n]
-        cap = np.zeros(n_vars)
-        cap[j] = -1.0
-        extra_a.append(cap.reshape(1, -1))
-        extra_b.append(np.array([-(out.objective + _TIE_TOL)]))
+        out = run(unit(j))
+        if j < n - 1:
+            model.add_rows([-unit(j)], [-(out.objective + _TIE_TOL)])
+    x = out.x[:n]
 
     # the pointwise minimal slacks for x: max(0, u - x(S)) per sample
     zeta = tuple(np.maximum(0.0, g.max(axis=1, initial=-np.inf)) for g in _gaps(values, allowed, x))

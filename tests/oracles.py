@@ -7,7 +7,10 @@ high-precision term summation and an incomplete-beta sign evaluator for
 the certificate polynomial, coverage trials run one method at a time,
 each with its own fresh draw, and fresh uniform draws by one broadcast
 over the whole array.  The minimal-compression search enumerates sample
-subsets in increasing size and compares cores by LP.
+subsets in increasing size and compares cores by LP.  Compression pins,
+coalition minima, lexicographic selection and the zeta row generation are
+solved with one fresh LP per program, where the library re-solves one
+warm-started model.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import mpmath as mp
 import numpy as np
 from scipy.special import betainc
 
-from coalisure import compression, lp, scenario_core, validation
+from coalisure import compression, lp, scenario_core, validation, zeta_core
 from coalisure.errors import CoalisureError, EmptyCoreError, GuardError
 from coalisure.game import Coalition, GameSpec, ValueModel, enumerate_subcoalitions
 from coalisure.risk import _PolyTerms, log_binom
@@ -457,3 +460,150 @@ def brute_force_min_compression(spec: GameSpec, samples: PrivateSamples) -> comp
                 recruiters = tuple({} for _ in range(samples.n_agents))
                 return compression.CompressionSet(selection, recruiters, mode_tag="brute-force")
     raise AssertionError("the full sample set is always a compression of itself")
+
+
+# --- one cold HiGHS solve per program ----------------------------------------
+# The library solves each of these families in one warm-started lp.Model;
+# these loops build every member program from scratch and solve it alone
+# through lp.solve / lp.feasible, as the library did before.
+
+def cold_compress_agent(spec, samples, agent, mode=compression.CompressionMode.default()):
+    """One agent's compression: one fresh feasibility program per pinned
+    coalition, the pinned row an equality and the others inequalities."""
+    allowed = spec.allowed(agent)
+    values = scenario_core.value_table(spec, samples)
+    top, first = scenario_core.column_maxima(values[agent])
+    n = spec.n_agents
+    rows = np.array([c.indicator(n) for c in allowed])
+    picked = {}
+    for j, pinned in enumerate(allowed):
+        a_eq, b_eq = [rows[j]], [top[j]]
+        if mode.efficiency:
+            a_eq.append(np.ones(n))
+            b_eq.append(spec.grand_value)
+        prog = lp.LinearProgram.build(
+            np.zeros(n),
+            a_eq=np.array(a_eq),
+            b_eq=np.array(b_eq),
+            a_ge=np.delete(rows, j, axis=0),
+            b_ge=np.delete(top, j),
+            lower_bounds=np.zeros(n) if mode.nonnegative else None,
+        )
+        if lp.feasible(prog).is_optimal:
+            picked.setdefault(int(first[j]), []).append(pinned)
+    indices = sorted(picked)
+    return indices, {k: tuple(picked[k]) for k in indices}
+
+
+def _cold_core_lp(core, objective):
+    a, b = core.constraint_rows()
+    return lp.LinearProgram.build(
+        objective, a_eq=[np.ones(core.n_agents)], b_eq=[core.grand_value], a_ge=a, b_ge=b
+    )
+
+
+def cold_coalition_minima(core):
+    """{mask: min over the core of x(S)}, one fresh LP per coalition;
+    ``None`` when a program is infeasible (an empty core)."""
+    minima = {}
+    for c in core.coalitions():
+        out = lp.solve(_cold_core_lp(core, c.indicator(core.n_agents)))
+        if out.status == lp.INFEASIBLE:
+            return None
+        minima[c.mask] = -np.inf if out.status == lp.UNBOUNDED else float(out.objective)
+    return minima
+
+
+def cold_lexicographic_allocation(core):
+    """The lexicographic core point, rebuilding the program with every cap
+    row so far before each coordinate's fresh solve."""
+    n = core.n_agents
+    a, b = core.constraint_rows()
+    a_extra, b_extra = [], []
+    x = None
+    for j in range(n):
+        obj = np.zeros(n)
+        obj[j] = 1.0
+        prog = lp.LinearProgram.build(
+            obj,
+            a_eq=[np.ones(n)],
+            b_eq=[core.grand_value],
+            a_ge=np.vstack([a] + a_extra) if a_extra else a,
+            b_ge=np.concatenate([b, b_extra]) if b_extra else b,
+        )
+        out = lp.solve(prog)
+        if out.status == lp.INFEASIBLE:
+            raise EmptyCoreError("cannot select an allocation from an empty core")
+        x = out.x
+        row = np.zeros(n)
+        row[j] = -1.0
+        a_extra.append(row)
+        b_extra.append(-(out.objective + 1e-9))
+    return x
+
+
+def cold_zeta_program(spec, samples):
+    """The slack program by row generation with one fresh LP per round:
+    the active rows, then the tie-break caps, rebuilt every time.  Returns
+    (x, zeta, objective, s_star, s_star_sensitivity)."""
+    n = spec.n_agents
+    values = scenario_core.value_table(spec, samples)
+    allowed = [spec.allowed(agent) for agent in range(n)]
+    counts = samples.counts
+    total_k = sum(counts)
+    offset = np.concatenate([[0], np.cumsum(counts)])[:-1]
+    n_vars = n + total_k
+    active = zeta_core._binding_rows(spec, values, allowed)
+    seen = set(active)
+    lower = np.concatenate([np.full(n, -np.inf), np.zeros(total_k)])
+    objective = np.concatenate([np.zeros(n), np.ones(total_k)])
+    eff_row = np.concatenate([np.ones(n), np.zeros(total_k)])
+
+    def rows_of(keys):
+        a = np.zeros((len(keys), n_vars))
+        b = np.empty(len(keys))
+        for r, (agent, k, pos) in enumerate(keys):
+            a[r, list(allowed[agent][pos].members)] = 1.0
+            a[r, n + offset[agent] + k] = 1.0
+            b[r] = values[agent][k, pos]
+        return a, b
+
+    def run(cost, extra_a, extra_b):
+        while True:
+            a_act, b_act = rows_of(active)
+            out = lp.solve(
+                lp.LinearProgram.build(
+                    cost, a_eq=[eff_row], b_eq=[spec.grand_value],
+                    a_ge=np.vstack([a_act] + extra_a), b_ge=np.concatenate([b_act] + extra_b),
+                    lower_bounds=lower,
+                )
+            )
+            assert out.status == lp.OPTIMAL
+            added = False
+            for agent, gaps in enumerate(zeta_core._gaps(values, allowed, out.x[:n])):
+                zv = out.x[n + offset[agent] : n + offset[agent] + counts[agent]]
+                worst = gaps.max(axis=1, initial=-np.inf) - zv
+                for k in np.flatnonzero(worst > zeta_core._VIOLATION_TOL):
+                    key = (agent, int(k), int(np.argmax(gaps[int(k)])))
+                    if key not in seen:
+                        seen.add(key)
+                        active.append(key)
+                        added = True
+            if not added:
+                return out
+
+    out = run(objective, [], [])
+    extra_a = [-objective.reshape(1, -1)]
+    extra_b = [np.array([-(out.objective + zeta_core._TIE_TOL)])]
+    for j in range(n):
+        cost = np.zeros(n_vars)
+        cost[j] = 1.0
+        out = run(cost, extra_a, extra_b)
+        cap = np.zeros((1, n_vars))
+        cap[0, j] = -1.0
+        extra_a.append(cap)
+        extra_b.append(np.array([-(out.objective + zeta_core._TIE_TOL)]))
+    x = out.x[:n]
+    zeta = tuple(np.maximum(0.0, g.max(axis=1, initial=-np.inf)) for g in zeta_core._gaps(values, allowed, x))
+    s_star, s_sens = zeta_core.complexity_counts_from_slacks(zeta)
+    return x, zeta, float(sum(z.sum() for z in zeta)), s_star, s_sens

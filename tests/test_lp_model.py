@@ -1,0 +1,227 @@
+"""``lp.Model``: one HiGHS instance re-solved under a new cost, with a row
+pinned at equality and after rows are appended.  Each re-solve is checked
+against a fresh one-shot solve of the same program, and every status path
+of a warm answer is forced through a wrapper around the model's HiGHS
+instance."""
+
+import numpy as np
+import pytest
+
+from coalisure import lp
+from coalisure.errors import LpNumericalError
+from coalisure.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, Model, solve
+
+_MS = lp._highs.HighsModelStatus
+
+
+def random_program(rng, n=4, m=10):
+    """A bounded, feasible program: a box plus random rows through a
+    planted interior point."""
+    x0 = rng.normal(size=n)
+    a = rng.normal(size=(m, n))
+    a_ge = np.vstack([np.eye(n), -np.eye(n), a])
+    b_ge = np.concatenate([x0 - 2.0, -(x0 + 2.0), a @ x0 - rng.uniform(0.1, 1.0, size=m)])
+    return LinearProgram.build(rng.normal(size=n), a_eq=[np.ones(n)], b_eq=[x0.sum()], a_ge=a_ge, b_ge=b_ge)
+
+
+def with_row_at_equality(prog, row):
+    keep = np.arange(prog.b_ge.size) != row
+    return LinearProgram.build(
+        prog.objective,
+        a_eq=np.vstack([prog.a_eq, prog.a_ge[row]]),
+        b_eq=np.concatenate([prog.b_eq, prog.b_ge[row : row + 1]]),
+        a_ge=prog.a_ge[keep],
+        b_ge=prog.b_ge[keep],
+        lower_bounds=prog.lower_bounds,
+    )
+
+
+def assert_same_answer(warm, cold):
+    assert warm.status == cold.status
+    if cold.status == OPTIMAL:
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+
+
+class TestReSolves:
+    def test_new_costs_match_fresh_solves(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            prog = random_program(rng)
+            model = Model(prog)
+            for _ in range(5):
+                cost = rng.normal(size=prog.n_vars)
+                warm = model.minimize(cost)
+                cold = solve(LinearProgram.build(cost, prog.a_eq, prog.b_eq, prog.a_ge, prog.b_ge))
+                assert_same_answer(warm, cold)
+                assert np.abs(warm.x - cold.x).max() <= 1e-9
+
+    def test_pins_match_fresh_solves_and_restore(self):
+        rng = np.random.default_rng(4)
+        verdicts = set()
+        for _ in range(10):
+            prog = random_program(rng)
+            model = Model(prog)
+            for row in range(prog.b_ge.size):
+                warm = model.pinned(row)
+                assert_same_answer(warm, solve(with_row_at_equality(prog, row)))
+                verdicts.add(warm.status)
+                if warm.status == OPTIMAL:
+                    assert abs(warm.slack_ge[row]) <= 1e2 * lp.TOL
+            assert_same_answer(model.minimize(), solve(prog))  # every pin restored
+        assert verdicts == {OPTIMAL, INFEASIBLE}
+
+    def test_appended_rows_match_fresh_solves(self):
+        rng = np.random.default_rng(5)
+        verdicts = set()
+        for _ in range(20):
+            prog = random_program(rng)
+            model = Model(prog)
+            model.minimize()
+            a_new = rng.normal(size=(3, prog.n_vars))
+            b_new = rng.normal(size=3) - 2.0
+            model.add_rows(a_new, b_new)
+            grown = LinearProgram.build(
+                prog.objective, prog.a_eq, prog.b_eq, np.vstack([prog.a_ge, a_new]), np.concatenate([prog.b_ge, b_new])
+            )
+            warm = model.minimize()
+            assert_same_answer(warm, solve(grown))
+            assert model.program.b_ge.size == grown.b_ge.size
+            verdicts.add(warm.status)
+            if warm.status == OPTIMAL:
+                assert warm.slack_ge.size == grown.b_ge.size
+        assert verdicts == {OPTIMAL, INFEASIBLE}
+
+    def test_feasibility_model_pins(self):
+        # x1 + x2 = 1, x >= 0 and 0.5 <= x1 <= 2: x1 = 0.5 is reachable, x1 = 2 is not
+        model = Model(
+            LinearProgram.build(
+                [0.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], a_ge=[[1.0, 0.0], [-1.0, 0.0]], b_ge=[0.5, -2.0],
+                lower_bounds=[0.0, 0.0],
+            )
+        )
+        out = model.pinned(0)
+        assert out.status == OPTIMAL and out.x == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert model.pinned(1).status == INFEASIBLE
+        assert model.pinned(0).status == OPTIMAL
+
+    def test_solve_order_fixes_the_bits(self):
+        rng = np.random.default_rng(6)
+        prog = random_program(rng)
+        costs = rng.normal(size=(6, prog.n_vars))
+        runs = []
+        for _ in range(3):
+            model = Model(prog)
+            runs.append([model.minimize(c).x.tobytes() for c in costs])
+        assert runs[0] == runs[1] == runs[2]
+
+
+class ForcedStatus:
+    """A model's HiGHS instance that reports the given model statuses (or
+    solutions) for its next runs and counts ``clearSolver`` calls."""
+
+    def __init__(self, highs, statuses=(), solutions=()):
+        self._highs = highs
+        self.statuses = list(statuses)
+        self.solutions = list(solutions)
+        self.cleared = 0
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def getModelStatus(self):
+        real = self._highs.getModelStatus()
+        return self.statuses.pop(0) if self.statuses else real
+
+    def getSolution(self):
+        real = self._highs.getSolution()
+        return self.solutions.pop(0) if self.solutions else real
+
+    def clearSolver(self):
+        self.cleared += 1
+        return self._highs.clearSolver()
+
+
+class _Point:
+    def __init__(self, x):
+        self.col_value = list(x)
+
+
+def warm_model(prog):
+    model = Model(prog)
+    assert model.minimize().status == OPTIMAL
+    return model
+
+
+class TestWarmStatusPaths:
+    @pytest.mark.parametrize("status", [_MS.kUnknown, _MS.kIterationLimit, _MS.kSolveError, _MS.kNotset])
+    def test_undecided_warm_status_is_solved_cold(self, status):
+        rng = np.random.default_rng(8)
+        prog = random_program(rng)
+        model = warm_model(prog)
+        cost = rng.normal(size=prog.n_vars)
+        model._highs = forced = ForcedStatus(model._highs, [status])
+        out = model.minimize(cost)
+        assert forced.cleared == 1
+        assert_same_answer(out, solve(LinearProgram.build(cost, prog.a_eq, prog.b_eq, prog.a_ge, prog.b_ge)))
+
+    def test_undecided_after_the_cold_retry_raises(self):
+        model = warm_model(random_program(np.random.default_rng(9)))
+        model._highs = forced = ForcedStatus(model._highs, [_MS.kUnknown, _MS.kUnknown])
+        with pytest.raises(LpNumericalError, match="kUnknown"):
+            model.minimize()
+        assert forced.cleared == 1
+
+    def test_first_solve_is_not_repeated(self):
+        model = Model(random_program(np.random.default_rng(10)))
+        model._highs = forced = ForcedStatus(model._highs, [_MS.kUnknown])
+        with pytest.raises(LpNumericalError, match="kUnknown"):
+            model.minimize()
+        assert forced.cleared == 0
+
+    def test_residual_failure_is_solved_cold(self):
+        prog = random_program(np.random.default_rng(11))
+        model = warm_model(prog)
+        bad = np.zeros(prog.n_vars)  # breaks the efficiency row
+        model._highs = forced = ForcedStatus(model._highs, solutions=[_Point(bad)])
+        out = model.minimize()
+        assert forced.cleared == 1
+        assert_same_answer(out, solve(prog))
+
+    def test_pinned_row_is_checked_as_an_equality(self):
+        # x >= 0 and x <= 3 with the row x >= 1 pinned: x = 2 satisfies
+        # every inequality but not the pin
+        prog = LinearProgram.build([0.0], a_ge=[[1.0], [-1.0]], b_ge=[1.0, -3.0])
+        model = warm_model(prog)
+        model._highs = forced = ForcedStatus(model._highs, solutions=[_Point([2.0])])
+        out = model.pinned(0)
+        assert forced.cleared == 1
+        assert out.status == OPTIMAL and out.x[0] == pytest.approx(1.0, abs=1e-12)
+        model._highs = ForcedStatus(forced._highs, solutions=[_Point([2.0]), _Point([2.0])])
+        with pytest.raises(LpNumericalError, match="residual"):
+            model.pinned(0)
+
+    def test_unbounded_or_infeasible_is_settled_by_the_probe(self):
+        # the probe runs for real: feasible means unbounded, infeasible stays so
+        prog = LinearProgram.build([1.0], a_ge=[[1.0], [-1.0]], b_ge=[0.0, -3.0])
+        model = warm_model(prog)
+        model._highs = ForcedStatus(model._highs, [_MS.kUnboundedOrInfeasible])
+        assert model.minimize([-1.0]).status == UNBOUNDED
+        # pinning x <= 5 at equality leaves nothing below the bound x <= 3
+        infeasible = warm_model(LinearProgram.build([1.0], a_ge=[[1.0], [-1.0], [-1.0]], b_ge=[0.0, -3.0, -5.0]))
+        infeasible._highs = ForcedStatus(infeasible._highs, [_MS.kUnboundedOrInfeasible])
+        assert infeasible.pinned(2).status == INFEASIBLE
+
+    @pytest.mark.parametrize("presolve", ["on", "off"])
+    def test_undecided_status_is_settled_on_warm_re_solves(self, monkeypatch, presolve):
+        """HiGHS allowed to stop at 'unbounded or infeasible': warm re-solves
+        still give each program its verdict."""
+        opts = lp._options()
+        opts.allow_unbounded_or_infeasible = True
+        opts.presolve = presolve
+        monkeypatch.setattr(lp, "_OPTIONS", opts)
+        model = Model(LinearProgram.build([1.0, 0.0], a_ge=[[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], b_ge=[0.0, 0.0, -1.0]))
+        assert model.minimize().status == OPTIMAL
+        assert model.minimize([-1.0, 0.0]).status == UNBOUNDED
+        assert model.minimize([1.0, 1.0]).status == OPTIMAL
+        model.add_rows([[0.0, 1.0]], [2.0])  # 2 <= x1 <= 1
+        assert model.minimize([-1.0, 0.0]).status == INFEASIBLE
