@@ -101,9 +101,9 @@ def _require(doc: dict, key: str, kind, where: str = "config"):
     return value
 
 
-def _is_count(value) -> bool:
-    """A JSON integer >= 1 (``true`` is not a count)."""
-    return type(value) is int and value >= 1
+def _is_count(value, least: int = 1) -> bool:
+    """A JSON integer >= ``least`` (``true`` is not a count)."""
+    return type(value) is int and value >= least
 
 
 def load_config(path: Path) -> ExperimentConfig:
@@ -154,9 +154,9 @@ def load_config(path: Path) -> ExperimentConfig:
     trials = val.get("trials", 50)
     n_fresh = val.get("n_fresh", 10000)
     validation_seed = val.get("seed", master_seed)
-    for name, v in (("trials", trials), ("n_fresh", n_fresh), ("seed", validation_seed)):
-        if not _is_count(v):
-            raise ConfigError(f"validation.{name} must be a positive integer")
+    for name, v, least in (("trials", trials, 1), ("n_fresh", n_fresh, 1), ("seed", validation_seed, 0)):
+        if not _is_count(v, least):
+            raise ConfigError(f"validation.{name} must be an integer >= {least}")
     epsilon = doc.get("epsilon")
     if epsilon is not None:
         if type(epsilon) not in (int, float):

@@ -92,7 +92,6 @@ def compress_agent(
     samples: PrivateSamples,
     agent: int,
     mode: CompressionMode = CompressionMode.default(),
-    values: list[np.ndarray] | None = None,
 ) -> tuple[list[int], dict[int, tuple[Coalition, ...]]]:
     """One agent's compression indices and the coalitions that recruited them.
 
@@ -101,15 +100,12 @@ def compress_agent(
     of the agent keeps its inequality; feasibility marks the maximizing
     sample (the lowest index among ties) as essential.  The agent's
     programs differ only in which row is pinned, so they are one
-    :class:`lp.Model` re-solved once per pin.  ``values`` is the sample
-    set's :func:`scenario_core.value_table`, evaluated here when not given.
+    :class:`lp.Model` re-solved once per pin.
     """
     allowed = spec.allowed(agent)
     if not allowed:
         return [], {}
-    if values is None:
-        values = scenario_core.value_table(spec, samples)
-    top, first = scenario_core.column_maxima(values[agent])
+    top, first = scenario_core.column_maxima(scenario_core.value_table(spec, samples)[agent])
     n = spec.n_agents
     model = lp.Model(
         lp.LinearProgram.build(
@@ -130,44 +126,25 @@ def compress_agent(
 
 
 def compress_all(
-    spec: GameSpec,
-    samples: PrivateSamples,
-    mode: CompressionMode = CompressionMode.default(),
-    values: list[np.ndarray] | None = None,
+    spec: GameSpec, samples: PrivateSamples, mode: CompressionMode = CompressionMode.default()
 ) -> CompressionSet:
-    """Run the per-agent compression for every agent and merge the results.
-
-    ``values`` is the sample set's value table, evaluated here when not given.
-    """
-    if values is None:
-        values = scenario_core.value_table(spec, samples)
-    per_agent = []
-    recruiters = []
-    for agent in range(spec.n_agents):
-        indices, rec = compress_agent(spec, samples, agent, mode, values)
-        per_agent.append(tuple(indices))
-        recruiters.append(rec)
-    return CompressionSet(tuple(per_agent), tuple(recruiters), mode.tag)
+    """Run the per-agent compression for every agent and merge the results."""
+    found = [compress_agent(spec, samples, agent, mode) for agent in range(spec.n_agents)]
+    return CompressionSet(tuple(tuple(ix) for ix, _ in found), tuple(rec for _, rec in found), mode.tag)
 
 
 def rebuild_bounds(
-    spec: GameSpec,
-    samples: PrivateSamples,
-    selection: tuple[tuple[int, ...], ...],
-    values: list[np.ndarray] | None = None,
+    spec: GameSpec, samples: PrivateSamples, selection: tuple[tuple[int, ...], ...]
 ) -> dict[int, float]:
     """Tightened bounds recomputed from a per-agent subset of samples.
 
-    Values come from the full sample set's value table (``values``, or
-    evaluated here) and are then restricted, so a retained sample
-    contributes bit-identically the value it contributed to the full
-    bounds.  Coalitions none of whose members retained a sample get
-    ``-inf`` (their constraint vanishes).
+    Values come from the full sample set's value table and are then
+    restricted, so a retained sample contributes bit-identically the value
+    it contributed to the full bounds.  Coalitions none of whose members
+    retained a sample get ``-inf`` (their constraint vanishes).
     """
-    if values is None:
-        values = scenario_core.value_table(spec, samples)
     out = dict.fromkeys((c.mask for c in enumerate_subcoalitions(spec)), -np.inf)
-    for agent, vals in enumerate(values):
+    for agent, vals in enumerate(scenario_core.value_table(spec, samples)):
         if selection[agent]:
             top, _ = scenario_core.column_maxima(vals[list(selection[agent])])
             for c, v in zip(spec.allowed(agent), top):

@@ -11,8 +11,9 @@ artifacts (JSON/CSV) use 1-based ids.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -148,13 +149,8 @@ class ValueModel:
 
 
 def _default_coalitions(n_agents: int) -> tuple[Coalition, ...]:
-    full = (1 << n_agents) - 1
-    out = []
-    for size in range(1, n_agents):
-        for members in combinations(range(n_agents), size):
-            out.append(Coalition.from_members(members))
-    assert all(c.mask != full for c in out)
-    return tuple(sorted(out))
+    """Every proper nonempty subset, in ascending mask order."""
+    return tuple(Coalition(mask) for mask in range(1, (1 << n_agents) - 1))
 
 
 @dataclass(frozen=True)
@@ -225,22 +221,51 @@ class GameSpec:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "GameSpec":
-        try:
-            n_agents = int(doc["n_agents"])
-            grand_value = float(doc["grand_value"])
-            dim = int(doc["uncertainty_dim"])
-            values = doc["values"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GameSpecError(f"malformed game document: {exc}") from exc
-        pieces = {
-            Coalition.from_label(label): [(form["a"], form["b"]) for form in forms]
-            for label, forms in values.items()
-        }
-        model = ValueModel(dim, pieces)
+        """Parse a game document; a malformed field raises a
+        :class:`GameSpecError` that names it."""
+
+        def need(key, what, ok):
+            if not ok(doc.get(key)):
+                raise GameSpecError(f"game.{key} must be {what}" if key in doc else f"game.{key} is missing")
+            return doc[key]
+
+        values = need("values", "an object keyed by coalition labels", lambda v: isinstance(v, Mapping))
+        pieces = {}
+        for label, forms in values.items():
+            if not (isinstance(forms, list) and all(map(_is_form, forms))):
+                raise GameSpecError(f"game.values[{label!r}] must list forms {{'a': number, 'b': [numbers]}}")
+            pieces[_coalition(label, "game.values")] = [(f["a"], f["b"]) for f in forms]
         coalitions = None
         if "coalitions" in doc:
-            coalitions = tuple(Coalition.from_label(lbl) for lbl in doc["coalitions"])
-        return cls(n_agents=n_agents, grand_value=grand_value, value_model=model, coalitions=coalitions)
+            labels = need("coalitions", "a list of coalition labels", lambda v: isinstance(v, list))
+            coalitions = tuple(_coalition(label, "game.coalitions") for label in labels)
+        integral = partial(_numeric, kind=numbers.Integral)
+        return cls(
+            n_agents=int(need("n_agents", "an integer", integral)),
+            grand_value=float(need("grand_value", "a number", _numeric)),
+            value_model=ValueModel(int(need("uncertainty_dim", "an integer", integral)), pieces),
+            coalitions=coalitions,
+        )
+
+
+def _numeric(value, depth: int = 0, kind=numbers.Real) -> bool:
+    """Whether ``value`` is a number of ``kind`` (``depth`` 0), a list of them (1)
+    or a rectangular list of such lists (2); booleans and strings are not numbers."""
+    if depth:
+        rows = isinstance(value, list) and all(_numeric(v, depth - 1, kind) for v in value)
+        return rows and (depth == 1 or len({len(v) for v in value}) <= 1)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _is_form(form) -> bool:
+    return isinstance(form, Mapping) and _numeric(form.get("a")) and _numeric(form.get("b"), 1)
+
+
+def _coalition(label, where: str) -> Coalition:
+    try:
+        return Coalition.from_label(label)
+    except (AttributeError, ValueError, GameSpecError):
+        raise GameSpecError(f"{where}: label {label!r} is not a list of agent ids like '1,3'") from None
 
 
 def enumerate_subcoalitions(spec: GameSpec) -> list[Coalition]:

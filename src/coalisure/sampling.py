@@ -20,6 +20,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DistributionError
+from .game import _numeric
 
 _PRIVATE_TAG = 0x1C0A11
 _FRESH_TAG = 0x2FE54
@@ -148,19 +149,32 @@ class DistributionSpec:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "DistributionSpec":
-        try:
-            kind = doc["kind"]
+        """Parse a distribution document; a malformed field raises a
+        :class:`DistributionError` that names it."""
+
+        def parse(doc, where: str) -> DistributionSpec:
+            if not isinstance(doc, Mapping):
+                raise DistributionError(f"{where} must be an object")
+
+            def numbers(key, depth=1):
+                if not _numeric(doc.get(key), depth):
+                    what = f"{where}.{key} must be a list of {'lists of ' * (depth - 1)}numbers"
+                    raise DistributionError(what if key in doc else f"{where}.{key} is missing")
+                return doc[key]
+
+            kind = doc.get("kind")
             if kind == "uniform":
-                return cls.uniform(doc["lo"], doc["hi"])
+                return cls.uniform(numbers("lo"), numbers("hi"))
             if kind == "gaussian":
-                return cls.gaussian(doc["mean"], doc["cov"])
+                return cls.gaussian(numbers("mean"), numbers("cov", 2))
             if kind == "mixture":
-                return cls.mixture(
-                    doc["weights"], [cls.from_json_dict(c) for c in doc["components"]]
-                )
-        except (KeyError, TypeError) as exc:
-            raise DistributionError(f"malformed distribution document: {exc}") from exc
-        raise DistributionError(f"unknown distribution kind {kind!r}")
+                if not isinstance(doc.get("components"), list):
+                    raise DistributionError(f"{where}.components must be a list of distributions")
+                parts = [parse(c, f"{where}.components[{i}]") for i, c in enumerate(doc["components"])]
+                return cls.mixture(numbers("weights"), parts)
+            raise DistributionError(f"{where}.kind must be one of {', '.join(_KINDS)}, not {kind!r}")
+
+        return parse(doc, "distribution")
 
 
 @dataclass(frozen=True)
@@ -173,6 +187,7 @@ class PrivateSamples:
 
     per_agent: tuple[np.ndarray, ...]
     master_seed: int
+    _value_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_agents(self) -> int:
@@ -238,7 +253,9 @@ def samples_to_csv(samples: PrivateSamples) -> str:
 
 
 def samples_from_csv(text: str, master_seed: int = 0) -> PrivateSamples:
-    """Inverse of :func:`samples_to_csv`; floats round-trip exactly."""
+    """Inverse of :func:`samples_to_csv`; floats round-trip exactly.  A row
+    other than two integer ids and one finite number per remaining header
+    column is a :class:`DistributionError` naming its line."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or tuple(header[:2]) != _CSV_HEADER:
@@ -247,8 +264,16 @@ def samples_from_csv(text: str, master_seed: int = 0) -> PrivateSamples:
     for rec in reader:
         if not rec:
             continue
-        agent, index = int(rec[0]) - 1, int(rec[1]) - 1
-        rows.setdefault(agent, {})[index] = [float(v) for v in rec[2:]]
+        try:
+            agent, index, xi = int(rec[0]) - 1, int(rec[1]) - 1, [float(v) for v in rec[2:]]
+        except (IndexError, ValueError):
+            xi = None
+        if xi is None or len(rec) != len(header) or not np.isfinite(xi).all():
+            raise DistributionError(
+                f"samples CSV line {reader.line_num}: {','.join(rec)!r} is not two integer ids "
+                f"and {len(header) - 2} finite numbers"
+            )
+        rows.setdefault(agent, {})[index] = xi
     if not rows or sorted(rows) != list(range(len(rows))):
         raise DistributionError("samples CSV must cover agents 1..N contiguously")
     matrices = []

@@ -108,28 +108,30 @@ class ScenarioCoreDesc:
         }
 
 
-def value_table(spec: GameSpec, samples: PrivateSamples) -> list[np.ndarray]:
+def value_table(spec: GameSpec, samples: PrivateSamples) -> tuple[np.ndarray, ...]:
     """u_S at every agent's own samples: ``table[i][k, j] = u_S(xi_i^(k))``
     for the j-th coalition S of ``spec.allowed(i)``.
 
     Agent i's matrix is K_i x |allowed(i)| and read-only; each column is one
     ``value_batch`` call, so every consumer sees the values bit for bit as a
-    direct evaluation would give them.
+    direct evaluation would give them.  It is evaluated once per
+    ``(spec, samples)`` pair and kept on ``samples`` for every consumer.
     """
-    if samples.n_agents != spec.n_agents:
-        raise GameSpecError(
-            f"samples cover {samples.n_agents} agents, game has {spec.n_agents}"
-        )
-    if samples.dim != spec.uncertainty_dim:
-        raise GameSpecError("sample dimension does not match the value model")
-    table = []
-    for agent, xis in enumerate(samples.per_agent):
-        values = np.empty((xis.shape[0], len(spec.allowed(agent))))
-        for j, c in enumerate(spec.allowed(agent)):
-            values[:, j] = spec.value_model.value_batch(c, xis)
-        values.flags.writeable = False
-        table.append(values)
-    return table
+    tables = samples._value_tables  # by id(spec); each entry holds its spec, so ids stay unique
+    if id(spec) not in tables:
+        if samples.n_agents != spec.n_agents:
+            raise GameSpecError(f"samples cover {samples.n_agents} agents, game has {spec.n_agents}")
+        if samples.dim != spec.uncertainty_dim:
+            raise GameSpecError("sample dimension does not match the value model")
+        matrices = []
+        for agent, xis in enumerate(samples.per_agent):
+            values = np.empty((xis.shape[0], len(spec.allowed(agent))))
+            for j, c in enumerate(spec.allowed(agent)):
+                values[:, j] = spec.value_model.value_batch(c, xis)
+            values.flags.writeable = False
+            matrices.append(values)
+        tables[id(spec)] = (spec, tuple(matrices))
+    return tables[id(spec)][1]
 
 
 def column_maxima(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,20 +140,15 @@ def column_maxima(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[first, np.arange(values.shape[1])], first
 
 
-def tighten(
-    spec: GameSpec, samples: PrivateSamples, values: list[np.ndarray] | None = None
-) -> TightenedBounds:
+def tighten(spec: GameSpec, samples: PrivateSamples) -> TightenedBounds:
     """Compute every coalition's tightened bound from the private samples.
 
     Every member agent contributes (its allowed structure holds every
     coalition containing it); argmax ties break toward the lowest
-    (agent, sample) pair.  ``values`` is the sample set's
-    :func:`value_table`, evaluated here when not given.
+    (agent, sample) pair.
     """
-    if values is None:
-        values = value_table(spec, samples)
     maxima = []  # agent -> coalition mask -> (sampled max, first argmax)
-    for agent, vals in enumerate(values):
+    for agent, vals in enumerate(value_table(spec, samples)):
         top, first = column_maxima(vals)
         maxima.append({c.mask: (float(v), int(k)) for c, v, k in zip(spec.allowed(agent), top, first)})
     entries: dict[int, BoundEntry] = {}

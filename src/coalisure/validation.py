@@ -62,21 +62,17 @@ def clopper_pearson(hits: int, n: int, confidence: float = CP_CONFIDENCE) -> tup
 @dataclass(eq=False)
 class SampleSet:
     """Everything one private multi-sample determines, each computed at most
-    once: the value table, the scenario core, its lexicographic allocation,
-    the compression set and the slack-minimizing solution.  Every coverage
-    trial builds its own, so threads share none."""
+    once: the scenario core, its lexicographic allocation, the compression
+    set and the slack-minimizing solution.  Every coverage trial builds its
+    own, so threads share none."""
 
     spec: GameSpec
     samples: PrivateSamples
     mode: compression.CompressionMode
 
     @cached_property
-    def values(self) -> list[np.ndarray]:
-        return scenario_core.value_table(self.spec, self.samples)
-
-    @cached_property
     def core(self) -> scenario_core.ScenarioCoreDesc:
-        return scenario_core.build(self.spec, scenario_core.tighten(self.spec, self.samples, self.values))
+        return scenario_core.build(self.spec, scenario_core.tighten(self.spec, self.samples))
 
     @cached_property
     def allocation(self) -> np.ndarray:
@@ -84,7 +80,7 @@ class SampleSet:
 
     @cached_property
     def compression(self) -> compression.CompressionSet:
-        return compression.compress_all(self.spec, self.samples, self.mode, self.values)
+        return compression.compress_all(self.spec, self.samples, self.mode)
 
     @cached_property
     def zeta(self) -> zeta_core.ZetaSolution:
@@ -276,18 +272,7 @@ class TrialResult:
     error: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "master_seed": self.master_seed,
-            "fresh_seed": self.fresh_seed,
-            "epsilon": self.epsilon,
-            "p_hat": self.p_hat,
-            "cp_lower": self.cp_lower,
-            "cp_upper": self.cp_upper,
-            "exceeded": self.exceeded,
-            "s_values": list(self.s_values) if self.s_values is not None else None,
-            "error": self.error,
-        }
+        return {**vars(self), "s_values": None if self.s_values is None else list(self.s_values)}
 
 
 @dataclass(frozen=True)
@@ -328,18 +313,10 @@ class CoverageReport:
     def to_csv(self) -> str:
         lines = ["trial,master_seed,fresh_seed,epsilon,p_hat,cp_lower,cp_upper,exceeded,error"]
         for t in self.trials:
-            fields = [
-                str(t.trial),
-                str(t.master_seed),
-                str(t.fresh_seed),
-                "" if t.epsilon is None else repr(t.epsilon),
-                "" if t.p_hat is None else repr(t.p_hat),
-                "" if t.cp_lower is None else repr(t.cp_lower),
-                "" if t.cp_upper is None else repr(t.cp_upper),
-                "" if t.exceeded is None else str(t.exceeded).lower(),
-                t.error or "",
-            ]
-            lines.append(",".join(fields))
+            levels = ["" if v is None else repr(v) for v in (t.epsilon, t.p_hat, t.cp_lower, t.cp_upper)]
+            exceeded = "" if t.exceeded is None else str(t.exceeded).lower()
+            ids = [str(t.trial), str(t.master_seed), str(t.fresh_seed)]
+            lines.append(",".join([*ids, *levels, exceeded, t.error or ""]))
         return "\n".join(lines) + "\n"
 
 

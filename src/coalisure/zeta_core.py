@@ -16,7 +16,8 @@ shared across that sample's coalition constraints.
 The LP is solved by row generation: starting from each coalition's
 currently-binding sample rows, violated (agent, sample, coalition) rows
 are added until none remain, which yields the exact optimum of the full
-program.  Uniqueness comes from a lexicographic tie-break over x.
+program.  A lexicographic tie-break over x selects one optimal point, up to
+its 1e-9 caps (see :func:`solve_zeta_program`).
 """
 
 from __future__ import annotations
@@ -90,9 +91,11 @@ def _binding_rows(spec: GameSpec, values, allowed) -> list[tuple[int, int, int]]
 def solve_zeta_program(spec: GameSpec, samples: PrivateSamples) -> ZetaSolution:
     """Minimize total slack, then pick the lexicographically smallest x.
 
-    Returns the unique optimal pair: among total-slack minimizers, x
-    minimizes x_1, then x_2, and so on; the slacks for that x are the
-    pointwise minima, which any optimal solution must equal.
+    Among total-slack minimizers, x minimizes x_1, then x_2, and so on; the
+    slacks for that x are the pointwise minima.  The pair is unique only up
+    to the tie-break band: the total slack and each minimized coordinate are
+    capped at their optimum plus 1e-9, HiGHS's feasibility tolerance, so two
+    valid solve paths can return x* up to about 2e-9 apart on tied values.
     """
     n = spec.n_agents
     values = scenario_core.value_table(spec, samples)
@@ -116,11 +119,6 @@ def solve_zeta_program(spec: GameSpec, samples: PrivateSamples) -> ZetaSolution:
             a[r, n + zeta_offset[agent] + k] = 1.0
             b[r] = values[agent][k, pos]
         return a, b
-
-    def unit(j):
-        row = np.zeros(n_vars)
-        row[j] = 1.0
-        return row
 
     eff_row = np.zeros(n_vars)
     eff_row[:n] = 1.0
@@ -158,9 +156,9 @@ def solve_zeta_program(spec: GameSpec, samples: PrivateSamples) -> ZetaSolution:
     # lexicographic tie-break over x on the optimal face
     model.add_rows(-objective.reshape(1, -1), [-(out.objective + _TIE_TOL)])
     for j in range(n):
-        out = run(unit(j))
+        out = run(np.eye(1, n_vars, j)[0])
         if j < n - 1:
-            model.add_rows([-unit(j)], [-(out.objective + _TIE_TOL)])
+            model.add_rows(-np.eye(1, n_vars, j), [-(out.objective + _TIE_TOL)])
     x = out.x[:n]
 
     # the pointwise minimal slacks for x: max(0, u - x(S)) per sample

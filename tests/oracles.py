@@ -455,7 +455,7 @@ def brute_force_min_compression(spec: GameSpec, samples: PrivateSamples) -> comp
                 tuple(k for a, k in subset if a == agent)
                 for agent in range(samples.n_agents)
             )
-            rebuilt = compression.rebuild_bounds(spec, samples, selection, values)
+            rebuilt = compression.rebuild_bounds(spec, samples, selection)
             if _same_core_set(spec, full, rebuilt):
                 recruiters = tuple({} for _ in range(samples.n_agents))
                 return compression.CompressionSet(selection, recruiters, mode_tag="brute-force")

@@ -1,14 +1,24 @@
-"""Malformed seeds, counts, compression toggles and method lists are config
-errors that name their field (exit 2), not crashes or silent defaults."""
+"""Malformed seeds, counts, compression toggles, method lists, game and
+distribution documents are config errors that name their field (exit 2),
+not crashes, silent coercions or silent defaults."""
 
 import pytest
 
 from coalisure.cli import load_config
 from coalisure.errors import ConfigError
 
-from test_pipeline import run, write_config
+from test_pipeline import README_GAME, run, write_config
 
 VALIDATION = {"trials": 2, "n_fresh": 500, "seed": 3}
+UNIT2 = {"kind": "uniform", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}
+
+
+def game(**changes):
+    return {"game": {**README_GAME, **changes}}
+
+
+def forms(label, value):
+    return game(values={**README_GAME["values"], label: value})
 
 MALFORMED = {
     "negative-seed": ({"master_seed": -5}, "master_seed"),
@@ -21,6 +31,30 @@ MALFORMED = {
     "int-nonnegative": ({"compression": {"nonnegative": 1}}, "compression.nonnegative"),
     "string-methods": ({"methods": "core-apriori"}, "methods"),
     "object-methods": ({"methods": {"core-apriori": True}}, "methods"),
+    "label-not-ids": (forms("1,x", [{"a": 0.5, "b": [0.6, 0.2]}]), "game.values"),
+    "coalitions-label-not-ids": (game(coalitions=["1", "2", "1,x"]), "game.coalitions"),
+    "coalitions-not-a-list": (game(coalitions="1,2"), "game.coalitions"),
+    "form-without-b": (forms("1", [{"a": 0.0}]), "game.values"),
+    "form-string-a": (forms("1", [{"a": "zz", "b": [1.0, 0.4]}]), "game.values"),
+    "form-string-b": (forms("1", [{"a": 0.0, "b": ["1.0", 0.4]}]), "game.values"),
+    "values-list": (game(values=[README_GAME["values"]]), "game.values"),
+    "form-object": (forms("1", {"a": 0.0, "b": [1.0, 0.4]}), "game.values"),
+    "fractional-n-agents": (game(n_agents=3.9), "game.n_agents"),
+    "string-n-agents": (game(n_agents="3"), "game.n_agents"),
+    "string-grand-value": (game(grand_value="6"), "game.grand_value"),
+    "bool-uncertainty-dim": (game(uncertainty_dim=True), "game.uncertainty_dim"),
+    "missing-values": ({"game": {k: v for k, v in README_GAME.items() if k != "values"}}, "values"),
+    "string-lo": ({"distribution": {**UNIT2, "lo": ["x", 0]}}, "distribution.lo"),
+    "missing-hi": ({"distribution": {"kind": "uniform", "lo": [0.0, 0.0]}}, "hi"),
+    "string-weights": ({"distribution": {"kind": "mixture", "weights": ["a"], "components": [UNIT2]}}, "distribution.weights"),
+    "component-string-lo": (
+        {"distribution": {"kind": "mixture", "weights": [1.0], "components": [{**UNIT2, "lo": ["x", 0]}]}},
+        "distribution.components",
+    ),
+    "component-not-an-object": ({"distribution": {"kind": "mixture", "weights": [1.0], "components": [[0, 1]]}}, "distribution.components"),
+    "string-cov": ({"distribution": {"kind": "gaussian", "mean": [0.0, 0.0], "cov": "x"}}, "distribution.cov"),
+    "ragged-cov": ({"distribution": {"kind": "gaussian", "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0]]}}, "distribution.cov"),
+    "missing-kind": ({"distribution": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}}, "distribution.kind"),
 }
 
 
@@ -64,3 +98,25 @@ def test_well_formed_values_still_load(tmp_path):
     assert (config.compression_mode.efficiency, config.compression_mode.nonnegative) == (False, True)
     r = run("generate", "--config", write_config(tmp_path, master_seed=0), "--out", tmp_path / "out")
     assert r.exit_code == 0, r.output
+
+
+def test_master_seed_zero_without_validation_seed(tmp_path):
+    """The validation seed defaults to the master seed, so 0 must pass for both."""
+    config = load_config(write_config(tmp_path, master_seed=0, validation={"trials": 1, "n_fresh": 200}))
+    assert (config.master_seed, config.validation_seed) == (0, 0)
+    r = run("run-all", "--config", write_config(tmp_path, master_seed=0, validation={"trials": 1, "n_fresh": 200}),
+            "--out", tmp_path / "out", "--method", "core-apriori")
+    assert r.exit_code == 0, r.output
+
+
+def test_negative_validation_seed_is_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="validation.seed"):
+        load_config(write_config(tmp_path, validation={**VALIDATION, "seed": -1}))
+
+
+def test_integer_and_float_numbers_still_load(tmp_path):
+    doc = {**README_GAME, "grand_value": 6, "values": {**README_GAME["values"], "1": [{"a": 0, "b": [1, 0]}]}}
+    mixture = {"kind": "mixture", "weights": [0.25, 0.75], "components": [UNIT2, {**UNIT2, "hi": [2, 2]}]}
+    config = load_config(write_config(tmp_path, game=doc, distribution=mixture))
+    assert config.spec.grand_value == 6.0 and config.spec.n_agents == 3
+    assert config.dist.components[1].hi.tolist() == [2.0, 2.0]

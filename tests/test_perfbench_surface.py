@@ -2,23 +2,27 @@
 
 ``perfbench/tracer.py`` wraps functions by (module, attribute) name, and
 the ``relaxed-n3-k200`` workload replaces ``zeta_core.solve_zeta_program``
-with a hook that takes exactly ``(spec, samples)``.  Renaming a traced
-function or changing that call breaks ``perfbench/run.py`` at run time;
-these tests make it fail here instead.  The tracer file is parsed, not
-imported, so nothing under ``perfbench/`` is touched.
+with a hook that takes exactly ``(spec, samples)``.  The correctness gate
+of ``runall-n5-k200`` loads the config with ``cli.load_config``, reads
+``samples.csv`` back and calls ``scenario_core.build``/``tighten``/
+``contains`` and ``compression.compression_reproduces_bounds``.  Renaming
+a traced function or changing one of those calls breaks ``perfbench/run.py``
+at run time; these tests make it fail here instead.  The tracer file is
+parsed, not imported, so nothing under ``perfbench/`` is touched.
 """
 
 import ast
 import importlib
+import json
 from pathlib import Path
 
 import numpy as np
 
-from coalisure import compression, validation, zeta_core
+from coalisure import cli, compression, risk, scenario_core, validation, zeta_core
 from coalisure.game import GameSpec
-from coalisure.sampling import DistributionSpec, draw_private
+from coalisure.sampling import DistributionSpec, draw_private, samples_from_csv
 
-from test_pipeline import README_GAME
+from test_pipeline import README_GAME, run, write_config
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -56,3 +60,27 @@ def test_sample_set_calls_the_zeta_program_with_two_arguments(monkeypatch):
     sampled = validation.SampleSet(spec, samples, compression.CompressionMode.default())
     assert np.isfinite(sampled.zeta.objective)
     assert seen == [11]
+
+
+def test_gate_calls_on_a_sample_set_read_back_from_csv(tmp_path):
+    config_path = write_config(
+        tmp_path, methods=[risk.METHOD_CORE_APRIORI], validation={"trials": 1, "n_fresh": 100, "seed": 3}
+    )
+    out = tmp_path / "out"
+    r = run("run-all", "--config", config_path, "--out", out)
+    assert r.exit_code == 0, r.output
+    config = cli.load_config(config_path)
+    fields = (config.spec, config.dist, config.counts, config.beta, config.beta_split,
+              config.compression_mode, config.epsilon, config.n_fresh, config.validation_seed)
+    assert all(f is not None for f in fields)
+    spec = config.spec
+    samples = samples_from_csv((out / "samples.csv").read_text())
+    core = scenario_core.build(spec, scenario_core.tighten(spec, samples))
+    vertices = json.loads((out / "core.json").read_text())["vertices"]
+    assert vertices and all(scenario_core.contains(core, v) for v in vertices)
+    comp = json.loads((out / "compression.json").read_text())
+    selection = tuple(tuple(s["index"] - 1 for s in a["samples"]) for a in comp["agents"])
+    assert compression.compression_reproduces_bounds(spec, samples, selection)
+    assert zeta_core.solve_zeta_program(spec, samples).s_star == tuple(
+        json.loads((out / "zeta.json").read_text())["s_star"]
+    )
