@@ -3,7 +3,7 @@
 Subcommands::
 
     generate   draw the private multi-sample          -> samples.csv
-    core       tightened bounds + emptiness (+vertices) -> core.json
+    core       tightened bounds + emptiness + vertices -> core.json
     compress   per-agent compression sets             -> compression.json
     certify    requested stability certificates       -> certificates.json
     zeta       slack-minimizing allocation + certificate -> zeta.json
@@ -64,7 +64,7 @@ from pathlib import Path
 import click
 
 from . import compression, risk, scenario_core, validation, zeta_core
-from .errors import CoalisureError, ConfigError
+from .errors import CoalisureError, ConfigError, GuardError
 from .game import GameSpec
 from .sampling import DistributionSpec, draw_private, samples_from_csv, samples_to_csv
 
@@ -240,10 +240,10 @@ def _write_core(config: ExperimentConfig, out: Path, sampled: validation.SampleS
     desc = sampled.core
     doc = desc.to_json_dict()
     doc["empty"] = scenario_core.is_empty(desc)
-    if config.spec.n_agents <= scenario_core.VERTEX_GUARD_AGENTS:
-        doc["vertices"] = [
-            [float(v) for v in vertex] for vertex in scenario_core.vertices(desc)
-        ]
+    try:
+        doc["vertices"] = [[float(v) for v in vertex] for vertex in scenario_core.vertices(desc)]
+    except GuardError as exc:
+        doc["vertices_omitted"] = str(exc)
     write_json(out / "core.json", doc)
     return doc
 
@@ -349,7 +349,7 @@ def generate(config_path, out, seed):
 @_seed_option
 @_samples_option
 def core(config_path, out, seed, samples_path):
-    """Tightened bounds, emptiness flag, and (for small games) vertices."""
+    """Tightened bounds, emptiness flag, and vertices."""
 
     def go():
         config = _prepare(config_path, out, seed)

@@ -234,7 +234,10 @@ class GameSpec:
         for label, forms in values.items():
             if not (isinstance(forms, list) and all(map(_is_form, forms))):
                 raise GameSpecError(f"game.values[{label!r}] must list forms {{'a': number, 'b': [numbers]}}")
-            pieces[_coalition(label, "game.values")] = [(f["a"], f["b"]) for f in forms]
+            coalition = _coalition(label, "game.values")
+            if coalition in pieces:
+                raise GameSpecError(f"game.values: label {label!r} names coalition {coalition.label()!r} twice")
+            pieces[coalition] = [(f["a"], f["b"]) for f in forms]
         coalitions = None
         if "coalitions" in doc:
             labels = need("coalitions", "a list of coalition labels", lambda v: isinstance(v, list))

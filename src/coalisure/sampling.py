@@ -255,7 +255,8 @@ def samples_to_csv(samples: PrivateSamples) -> str:
 def samples_from_csv(text: str, master_seed: int = 0) -> PrivateSamples:
     """Inverse of :func:`samples_to_csv`; floats round-trip exactly.  A row
     other than two integer ids and one finite number per remaining header
-    column is a :class:`DistributionError` naming its line."""
+    column, or one that repeats an earlier row's (agent, sample) pair, is a
+    :class:`DistributionError` naming its line."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or tuple(header[:2]) != _CSV_HEADER:
@@ -272,6 +273,10 @@ def samples_from_csv(text: str, master_seed: int = 0) -> PrivateSamples:
             raise DistributionError(
                 f"samples CSV line {reader.line_num}: {','.join(rec)!r} is not two integer ids "
                 f"and {len(header) - 2} finite numbers"
+            )
+        if index in rows.get(agent, ()):
+            raise DistributionError(
+                f"samples CSV line {reader.line_num}: agent {rec[0]} sample {rec[1]} appears on an earlier line"
             )
         rows.setdefault(agent, {})[index] = xi
     if not rows or sorted(rows) != list(range(len(rows))):

@@ -12,21 +12,28 @@ only in membership queries.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, groupby, islice
+from math import comb
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.spatial import HalfspaceIntersection, QhullError
 
 from . import lp
 from .errors import EmptyCoreError, GameSpecError, GuardError, LpError
 from .game import Coalition, GameSpec, enumerate_subcoalitions
 from .sampling import PrivateSamples
 
-VERTEX_GUARD_AGENTS = 6
 _VERTEX_DEDUP_TOL = 1e-7
 _VERTEX_BLOCK = 4096  # subsets per batched solve: about 1 MB of systems at N=5
+_VERTEX_ACTIVE_TOL = 1e-6  # slack under which a row is active at a Qhull vertex, relative to 1 + max |rhs|
+VERTEX_SUBSET_LIMIT = comb(62, 5)  # every subset of a full 6-agent core: 6,471,002 systems
+# Qhull runs up to this many agents: a core has at most N! vertices (Derks &
+# Kuipers 2002), so its slack matrix stays within 40,320 x 254 at N=8
+VERTEX_QHULL_AGENTS = 8
 
 
 @dataclass(frozen=True)
@@ -232,31 +239,111 @@ def _minimum(out: lp.LpOutcome) -> float | None:
 
 
 def vertices(core: ScenarioCoreDesc) -> list[np.ndarray]:
-    """All basic feasible points, by exhaustive active-set enumeration.
+    """All basic feasible points, by active-set enumeration.
 
-    Guarded to small games: every (N-1)-subset of coalition constraints is
-    solved against the efficiency equality and kept if feasible.  Subsets
-    are streamed in blocks of ``_VERTEX_BLOCK``; each block's systems are
-    stacked and solved in one batched call after masking the singular ones
+    A basic point solves the efficiency equality together with N-1
+    coalition rows; it is kept if it meets every row to 1e-9 and lies more
+    than 1e-7 from every point kept before it.  The (N-1)-subsets of rows
+    come from one of two sources:
+
+    * Qhull (Barber, Dobkin & Huhdanpaa, *ACM TOMS* 22, 1996): x_N is
+      eliminated through efficiency, one Chebyshev-centre LP gives an
+      interior point, ``scipy.spatial.HalfspaceIntersection`` gives the
+      vertices, and every (N-1)-subset of the rows loosely active at some
+      vertex (slack within ``_VERTEX_ACTIVE_TOL`` relative) is a candidate;
+    * every (N-1)-subset of the rows, when N is below 3 or above
+      ``VERTEX_QHULL_AGENTS``, when the Chebyshev radius is within that
+      tolerance of 0 (a core of lower dimension, or one empty up to the
+      tolerance), when the structure lacks a singleton or a singleton's
+      complement (the core may be unbounded), when the LP or Qhull fails,
+      or when Qhull's candidates would be no fewer.
+
+    A core whose Chebyshev LP finds every point violating some row by more
+    than the tolerance is empty and has no candidates.  Candidates are
+    streamed in ``combinations`` order and solved in blocks of
+    ``_VERTEX_BLOCK`` stacked systems after masking the singular ones
     (``slogdet`` sign 0: the same zero-pivot LU test under which a single
-    ``solve`` raises), and duplicates are dropped in enumeration order, so
-    the list equals a one-subset-at-a-time loop bit for bit.
+    ``solve`` raises); every subset the full stream would keep is a
+    candidate, so the list equals a one-subset-at-a-time loop over all
+    subsets bit for bit.  A :class:`GuardError` naming the count is raised
+    before any system is solved when there are more than
+    ``VERTEX_SUBSET_LIMIT`` subsets.
     """
     n = core.n_agents
-    if n > VERTEX_GUARD_AGENTS:
-        raise GuardError(
-            f"vertex enumeration is guarded to <= {VERTEX_GUARD_AGENTS} agents"
-        )
     a, b = core.constraint_rows()
     m = a.shape[0]
     if m < n - 1:
         return []
-    subsets = chain.from_iterable(combinations(range(m), n - 1))
-    out: list[np.ndarray] = []
-    while True:
-        rows = np.fromiter(islice(subsets, _VERTEX_BLOCK * (n - 1)), dtype=np.intp).reshape(-1, n - 1)
-        if not rows.size:
-            return out
+    full = comb(m, n - 1)
+    active = _qhull_active_sets(core)
+    count = full if active is None else sum(comb(len(rows), n - 1) for rows in active)
+    if count >= full:
+        count, active = full, None
+    if count > VERTEX_SUBSET_LIMIT:
+        raise GuardError(
+            f"vertex enumeration would solve {count} (N-1)-subsets of constraint rows; "
+            f"the limit is {VERTEX_SUBSET_LIMIT}"
+        )
+    if active is None:
+        subsets = combinations(range(m), n - 1)
+    else:
+        # each active set's subsets come in combinations order, so the merge does too
+        subsets = (rows for rows, _ in groupby(heapq.merge(*(combinations(rows, n - 1) for rows in active))))
+    return _basic_points(core, subsets)
+
+
+def _qhull_active_sets(core: ScenarioCoreDesc) -> list[tuple[int, ...]] | None:
+    """The distinct sets of rows loosely active at the core's Qhull
+    vertices, each ascending; ``[]`` for a core empty beyond the tolerance,
+    ``None`` when the full subset stream must be solved instead."""
+    n = core.n_agents
+    if not 3 <= n <= VERTEX_QHULL_AGENTS:  # Qhull needs 2 dimensions
+        return None
+    full = (1 << n) - 1
+    masks = core.bounds.entries
+    if any(1 << i not in masks or full ^ (1 << i) not in masks for i in range(n)):
+        return None
+    a, b = core.constraint_rows()
+    # x_N = u - sum(y) turns  a x >= b  into  g y >= h  over y = x_1..x_{N-1}
+    g = a[:, :-1] - a[:, -1:]
+    h = b - a[:, -1] * core.grand_value
+    norms = np.sqrt((g * g).sum(axis=1))  # >= 1: every row of g is a nonzero integer vector
+    tol = _VERTEX_ACTIVE_TOL * (1.0 + np.abs(h).max())
+    # Chebyshev centre: max r  s.t.  g y - |g| r >= h  (bounded: every x_i is capped)
+    program = lp.LinearProgram.build(-np.eye(1, n, n - 1)[0], a_ge=np.hstack([g, -norms[:, None]]), b_ge=h)
+    try:
+        out = lp.solve(program)
+    except LpError:
+        return None
+    if out.status != lp.OPTIMAL:
+        return None
+    centre, radius = out.x[:-1], out.x[-1]
+    if radius < -tol:
+        return []  # every point misses some row by more than tol, far beyond the 1e-9 test
+    if radius <= tol:
+        return None
+    try:
+        points = HalfspaceIntersection(np.hstack([-g, h[:, None]]), centre).intersections
+    except QhullError:
+        return None
+    slack = points @ g.T - h
+    if not np.isfinite(slack).all() or (slack < -tol).any():
+        return None
+    active = [tuple(np.flatnonzero(row).tolist()) for row in np.unique(slack <= tol, axis=0)]
+    if any(len(rows) < n - 1 for rows in active):
+        return None
+    return active
+
+
+def _basic_points(core: ScenarioCoreDesc, subsets) -> list[np.ndarray]:
+    """The feasible, pairwise distinct basic points of ``subsets`` (tuples
+    of N-1 row indices), in subset order, ``_VERTEX_BLOCK`` at a time."""
+    n = core.n_agents
+    a, b = core.constraint_rows()
+    flat = chain.from_iterable(subsets)
+    kept = np.empty((16, n))  # the points kept so far: kept[:count]
+    count = 0
+    while (rows := np.fromiter(islice(flat, _VERTEX_BLOCK * (n - 1)), dtype=np.intp).reshape(-1, n - 1)).size:
         mats = np.empty((rows.shape[0], n, n))
         mats[:, 0] = 1.0
         mats[:, 1:] = a[rows]
@@ -268,11 +355,13 @@ def vertices(core: ScenarioCoreDesc) -> list[np.ndarray]:
         keep = np.isfinite(xs).all(axis=1)
         keep[keep] = (xs[keep] @ a.T >= b - 1e-9).all(axis=1)
         for x in xs[keep]:
-            for seen in out:
-                if np.abs(seen - x).max() <= _VERTEX_DEDUP_TOL:
-                    break
-            else:
-                out.append(x)
+            if (np.abs(kept[:count] - x).max(axis=1, initial=0.0) <= _VERTEX_DEDUP_TOL).any():
+                continue
+            if count == len(kept):
+                kept = np.concatenate([kept, np.empty_like(kept)])
+            kept[count] = x
+            count += 1
+    return list(kept[:count])
 
 
 def lexicographic_allocation(core: ScenarioCoreDesc) -> np.ndarray:

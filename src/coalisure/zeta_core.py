@@ -69,9 +69,22 @@ class ZetaSolution:
         }
 
 
-def _gaps(values, allowed, x) -> list[np.ndarray]:
-    """u_S(xi_i^(k)) - x(S) for every agent i, sample k and allowed S."""
-    return [vals - np.array([x[list(c.members)].sum() for c in cs]) for vals, cs in zip(values, allowed)]
+def _coalition_index(allowed) -> tuple[list[list[int]], list[np.ndarray]]:
+    """The members of every coalition some agent is allowed, and per agent
+    the position of each of its allowed coalitions in that list."""
+    masks = sorted({c.mask for cs in allowed for c in cs})
+    where = {mask: j for j, mask in enumerate(masks)}
+    members = [list(Coalition(mask).members) for mask in masks]
+    return members, [np.array([where[c.mask] for c in cs], dtype=np.intp) for cs in allowed]
+
+
+def _gaps(values, index, x) -> list[np.ndarray]:
+    """u_S(xi_i^(k)) - x(S) for every agent i, sample k and allowed S;
+    ``index`` is :func:`_coalition_index` of the allowed structure, so each
+    x(S) is summed once."""
+    members, positions = index
+    payoff = np.array([x[m].sum() for m in members])
+    return [vals - payoff[pos] for vals, pos in zip(values, positions)]
 
 
 def _binding_rows(spec: GameSpec, values, allowed) -> list[tuple[int, int, int]]:
@@ -104,6 +117,7 @@ def solve_zeta_program(spec: GameSpec, samples: PrivateSamples) -> ZetaSolution:
     total_k = sum(counts)
     zeta_offset = np.concatenate([[0], np.cumsum(counts)])[:-1]
     n_vars = n + total_k
+    index = _coalition_index(allowed)
     seed_rows = _binding_rows(spec, values, allowed)
     seen = set(seed_rows)
 
@@ -138,7 +152,7 @@ def solve_zeta_program(spec: GameSpec, samples: PrivateSamples) -> ZetaSolution:
             if out.status != lp.OPTIMAL:
                 raise LpError(f"slack program came back {out.status}")
             added = []
-            for agent, gaps in enumerate(_gaps(values, allowed, out.x[:n])):
+            for agent, gaps in enumerate(_gaps(values, index, out.x[:n])):
                 zv = out.x[n + zeta_offset[agent] : n + zeta_offset[agent] + counts[agent]]
                 worst = gaps.max(axis=1, initial=-np.inf) - zv
                 for k in np.flatnonzero(worst > _VIOLATION_TOL):
@@ -162,7 +176,7 @@ def solve_zeta_program(spec: GameSpec, samples: PrivateSamples) -> ZetaSolution:
     x = out.x[:n]
 
     # the pointwise minimal slacks for x: max(0, u - x(S)) per sample
-    zeta = tuple(np.maximum(0.0, g.max(axis=1, initial=-np.inf)) for g in _gaps(values, allowed, x))
+    zeta = tuple(np.maximum(0.0, g.max(axis=1, initial=-np.inf)) for g in _gaps(values, index, x))
     s_star, s_sens = complexity_counts_from_slacks(zeta)
     return ZetaSolution(
         x_star=x.copy(),

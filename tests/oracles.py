@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own computational paths:
 exact rational arithmetic and a one-subset-at-a-time loop for vertex
-enumeration, double loops for maxima, grid search for emptiness,
+enumeration, LP minima in given directions for vertex lists too large for
+that loop, double loops for maxima, grid search for emptiness,
 high-precision term summation and an incomplete-beta sign evaluator for
 the certificate polynomial, coverage trials run one method at a time,
 each with its own fresh draw, and fresh uniform draws by one broadcast
@@ -29,7 +30,9 @@ from coalisure.errors import CoalisureError, EmptyCoreError, GuardError
 from coalisure.game import Coalition, GameSpec, ValueModel, enumerate_subcoalitions
 from coalisure.risk import _PolyTerms, log_binom
 from coalisure.sampling import _FRESH_TAG, PrivateSamples, draw_fresh, draw_private
-from coalisure.scenario_core import _VERTEX_DEDUP_TOL, VERTEX_GUARD_AGENTS
+from coalisure.scenario_core import _VERTEX_DEDUP_TOL
+
+LOOP_VERTEX_GUARD_AGENTS = 6  # one solve per subset: 6,471,002 of them at N=6
 
 
 # --- instance generators -----------------------------------------------------
@@ -121,12 +124,13 @@ def rational_core_vertices(n_agents, grand_value, coalition_rows, bounds):
 
 
 def loop_core_vertices(core):
-    """``scenario_core.vertices`` as one ``np.linalg.solve`` per subset: the
-    reference for the blocked batched enumeration, same output and order."""
+    """``scenario_core.vertices`` as one ``np.linalg.solve`` per subset, over
+    every (N-1)-subset: the reference for the blocked batched enumeration
+    and for Qhull's candidate subsets, same output and order."""
     n = core.n_agents
-    if n > VERTEX_GUARD_AGENTS:
+    if n > LOOP_VERTEX_GUARD_AGENTS:
         raise GuardError(
-            f"vertex enumeration is guarded to <= {VERTEX_GUARD_AGENTS} agents"
+            f"vertex enumeration is guarded to <= {LOOP_VERTEX_GUARD_AGENTS} agents"
         )
     a, b = core.constraint_rows()
     m = a.shape[0]
@@ -150,6 +154,19 @@ def loop_core_vertices(core):
             else:
                 out.append(x)
     return out
+
+
+def support_gaps(core, verts, directions):
+    """|min c.x over the core - min c.x over ``verts``| for each direction
+    c, the core minimum from one fresh LP per direction: a vertex list of
+    a bounded core that misses a minimizing vertex shows a gap."""
+    points = np.array(verts)
+    gaps = []
+    for c in directions:
+        out = lp.solve(scenario_core._core_lp(core, c))
+        assert out.status == lp.OPTIMAL, out.status
+        gaps.append(abs(out.objective - (points @ c).min()))
+    return gaps
 
 
 def enumerate_lp_vertices(n, a_eq, b_eq, a_ge, b_ge, lower_bounds=None, tol=1e-9):
@@ -553,6 +570,7 @@ def cold_zeta_program(spec, samples):
     total_k = sum(counts)
     offset = np.concatenate([[0], np.cumsum(counts)])[:-1]
     n_vars = n + total_k
+    index = zeta_core._coalition_index(allowed)
     active = zeta_core._binding_rows(spec, values, allowed)
     seen = set(active)
     lower = np.concatenate([np.full(n, -np.inf), np.zeros(total_k)])
@@ -580,7 +598,7 @@ def cold_zeta_program(spec, samples):
             )
             assert out.status == lp.OPTIMAL
             added = False
-            for agent, gaps in enumerate(zeta_core._gaps(values, allowed, out.x[:n])):
+            for agent, gaps in enumerate(zeta_core._gaps(values, index, out.x[:n])):
                 zv = out.x[n + offset[agent] : n + offset[agent] + counts[agent]]
                 worst = gaps.max(axis=1, initial=-np.inf) - zv
                 for k in np.flatnonzero(worst > zeta_core._VIOLATION_TOL):
@@ -604,6 +622,6 @@ def cold_zeta_program(spec, samples):
         extra_a.append(cap)
         extra_b.append(np.array([-(out.objective + zeta_core._TIE_TOL)]))
     x = out.x[:n]
-    zeta = tuple(np.maximum(0.0, g.max(axis=1, initial=-np.inf)) for g in zeta_core._gaps(values, allowed, x))
+    zeta = tuple(np.maximum(0.0, g.max(axis=1, initial=-np.inf)) for g in zeta_core._gaps(values, index, x))
     s_star, s_sens = zeta_core.complexity_counts_from_slacks(zeta)
     return x, zeta, float(sum(z.sum() for z in zeta)), s_star, s_sens

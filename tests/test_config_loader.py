@@ -32,6 +32,7 @@ MALFORMED = {
     "string-methods": ({"methods": "core-apriori"}, "methods"),
     "object-methods": ({"methods": {"core-apriori": True}}, "methods"),
     "label-not-ids": (forms("1,x", [{"a": 0.5, "b": [0.6, 0.2]}]), "game.values"),
+    "two-labels-one-coalition": (forms("2,1", [{"a": 9.0, "b": [0.6, 0.2]}]), "game.values"),
     "coalitions-label-not-ids": (game(coalitions=["1", "2", "1,x"]), "game.coalitions"),
     "coalitions-not-a-list": (game(coalitions="1,2"), "game.coalitions"),
     "form-without-b": (forms("1", [{"a": 0.0}]), "game.values"),

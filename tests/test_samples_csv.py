@@ -1,6 +1,6 @@
 """A malformed samples CSV is a DistributionError that names its line
-(`core --samples` exits 1 with `error: ...`), not a traceback or a later,
-misleading LP error."""
+(`core --samples` exits 1 with `error: ...`), not a traceback, a later,
+misleading LP error or a row silently overwritten by a later one."""
 
 import pytest
 
@@ -29,6 +29,7 @@ CASES = {
     "index-not-integer": (csv_with(2, "1,1.5,0.5,0.5"), "line 2"),
     "nan-entry": (csv_with(4, "2,1,nan,0.5"), "line 4"),
     "inf-entry": (csv_with(2, "1,1,0.5,-inf"), "line 2"),
+    "repeated-agent-sample": (csv_with(3, "1,1,0.9,0.5"), "line 3"),
 }
 
 

@@ -194,13 +194,20 @@ class TestVertices:
         _, core = two_agent_core(u=4.0, b1=3.0, b2=3.0)
         assert sc.vertices(core) == []
 
-    def test_guard(self):
-        model = ValueModel.affine(
-            1, {Coalition(m): (0.0, [0.0]) for m in range(1, 2**7 - 1)}
-        )
-        spec = GameSpec(7, 100.0, model)
-        core = sc.build(spec, sc.bounds_from_values({c: 0.0 for c in spec.coalitions}))
-        with pytest.raises(GuardError):
+    def test_guard(self, monkeypatch):
+        """The guard counts subsets, not agents: a 4-agent core over every
+        coalition but {4} (so every subset is solved) has C(13, 3) = 286
+        subsets, allowed at a limit of 286 and refused at 285 before any
+        system is solved."""
+        structure = tuple(Coalition(m) for m in range(1, 2**4 - 1) if m != 8)
+        model = ValueModel.affine(1, {c: (0.0, [0.0]) for c in structure})
+        spec = GameSpec(4, 10.0, model, coalitions=structure)
+        core = sc.build(spec, sc.bounds_from_values({c: 1.0 for c in spec.coalitions}))
+        monkeypatch.setattr(sc, "VERTEX_SUBSET_LIMIT", 286)
+        assert len(sc.vertices(core)) == 5
+        monkeypatch.setattr(sc, "VERTEX_SUBSET_LIMIT", 285)
+        monkeypatch.setattr(sc, "_basic_points", None)  # nothing may be solved
+        with pytest.raises(GuardError, match="solve 286 .*the limit is 285"):
             sc.vertices(core)
 
     def test_matches_exact_enumeration(self):

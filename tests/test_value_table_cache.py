@@ -12,7 +12,7 @@ from coalisure.game import GameSpec, ValueModel
 from coalisure.sampling import DistributionSpec, draw_private, samples_from_csv, samples_to_csv
 
 from test_pipeline import README_GAME, run
-from test_run_all_guard import affine_n5_config
+from test_run_all_guard import affine_config
 
 UNIT2 = DistributionSpec.uniform([0.0, 0.0], [1.0, 1.0])
 
@@ -96,7 +96,7 @@ def test_consumers_read_the_one_table(game_and_samples, value_batch_calls):
 
 @pytest.mark.parametrize("trials", [1, 3])
 def test_run_all_evaluates_one_table_per_sample_set(tmp_path, value_batch_calls, trials):
-    doc = affine_n5_config(7)
+    doc = affine_config(7)
     doc["counts"] = [12] * 5
     doc["validation"] = {"trials": trials, "n_fresh": 500, "seed": 9}
     config = tmp_path / "config.json"
