@@ -16,9 +16,7 @@ from .game import (
     Coalition,
     GameSpec,
     ValueModel,
-    coalition_value,
     enumerate_subcoalitions,
-    excess,
     subcoalition_budget,
 )
 from .sampling import DistributionSpec, PrivateSamples, draw_fresh, draw_private
@@ -31,9 +29,7 @@ __all__ = [
     "ValueModel",
     "DistributionSpec",
     "PrivateSamples",
-    "coalition_value",
     "enumerate_subcoalitions",
-    "excess",
     "subcoalition_budget",
     "draw_private",
     "draw_fresh",

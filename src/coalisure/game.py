@@ -287,16 +287,3 @@ def subcoalition_budget(n_agents: int) -> int:
     if n_agents < 1:
         raise GameSpecError("need at least one agent")
     return 2**n_agents - 1
-
-
-def coalition_value(model: ValueModel, coalition: Coalition, xi: Sequence[float]) -> float:
-    """Value u_S(xi) of a coalition at one uncertainty realization."""
-    return model.value(coalition, xi)
-
-
-def excess(spec: GameSpec, coalition: Coalition, x: Sequence[float], xi: Sequence[float]) -> float:
-    """sum_{i in S} x_i - u_S(xi); positive means strictly rational."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.n_agents,):
-        raise GameSpecError(f"allocation length {x.shape} != n_agents {spec.n_agents}")
-    return float(sum(x[a] for a in coalition.members) - spec.value_model.value(coalition, xi))

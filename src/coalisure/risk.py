@@ -30,6 +30,7 @@ from math import log
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import gammaln
 
 from .errors import CoalisureError, GameSpecError, NoRootError
@@ -54,7 +55,6 @@ ALL_METHODS = (
 # target comfortably inside the 1e-10 contract so the residual holds under
 # independent re-evaluation too
 _ROOT_RESIDUAL_TOL = 5e-11
-_ROOT_WIDTH_TOL = 1e-12
 
 
 def log_binom(n: int | np.ndarray, k: int | np.ndarray) -> np.ndarray | float:
@@ -475,11 +475,12 @@ def solve_campi_polynomial(
     ends (see :class:`_PolyTerms`), so {h > 0} is one interval, possibly
     empty, and the smallest root is where r falls through 1.  Starting at
     t = 1, the search bisects towards the minimum of r on the sign of
-    dr/d(log t) and stops at the first t with h(t) > 0; the bracket (0, t]
-    is then bisected until it is narrower than 1e-12 and h/lead at the root
-    is below 1e-10 in magnitude (the raw polynomial spans hundreds of orders
-    of magnitude; h/lead has the same roots).  For s = K the root is 0 by
-    convention.
+    dr/d(log t) and stops at the first t with h(t) > 0.  Brent's method
+    (``scipy.optimize.brentq``) then finds the root between that t and the
+    last point left of the minimum, or a point found by halving t, and
+    h/lead at the root must be below 5e-11 in magnitude (the raw polynomial
+    spans hundreds of orders of magnitude; h/lead has the same roots).  For
+    s = K the root is 0 by convention.
 
     Raises :class:`NoRootError` when r is still falling at t = 1, or when
     the search closes in on the minimum of r without h turning positive;
@@ -510,32 +511,18 @@ def solve_campi_polynomial(
                 scan_points=np.array(points),
                 scan_signs=np.sign(values),
             )
-    lo = 0.0
 
-    # the polynomial is strictly negative at 0+, so (lo, hi] brackets a root;
-    # the returned point is always one at which the residual was measured
-    root = None
-    residual = np.inf
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        val = float(terms.normalized(mid)[0])
-        if abs(val) < residual:
-            root, residual = mid, abs(val)
-        if val > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= _ROOT_WIDTH_TOL and residual <= _ROOT_RESIDUAL_TOL:
-            break
-    if root is None or residual > _ROOT_RESIDUAL_TOL:
-        for cand in (hi,) if lo == 0.0 else (lo, hi):
-            val = abs(float(terms.normalized(cand)[0]))
-            if val < residual:
-                root, residual = cand, val
+    def h(t: float) -> float:
+        return float(terms.normalized(t)[0])
+
+    # h(lo) <= 0 < h(hi); below a search that never moved ``left`` off 0,
+    # halve t until h < 0, which holds near 0+ whenever s < K
+    lo = left if left > 0.0 else 0.5 * hi
+    while left == 0.0 and h(lo) > 0.0:
+        lo *= 0.5
+    # lo > root / 2, so xtol locates the root to about 1e-14 of itself
+    root = float(brentq(h, lo, hi, xtol=1e-14 * lo, rtol=4 * np.finfo(float).eps))
+    residual = abs(h(root))
     if residual > _ROOT_RESIDUAL_TOL:
-        raise CoalisureError(
-            f"bisection stalled at residual {residual:.3e} for K={k_total}, s={s}"
-        )
-    return float(root), float(1.0 - root)
+        raise CoalisureError(f"residual {residual:.3e} at the root for K={k_total}, s={s}")
+    return root, 1.0 - root

@@ -13,6 +13,7 @@ only in membership queries.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, groupby, islice
@@ -337,12 +338,21 @@ def _qhull_active_sets(core: ScenarioCoreDesc) -> list[tuple[int, ...]] | None:
 
 def _basic_points(core: ScenarioCoreDesc, subsets) -> list[np.ndarray]:
     """The feasible, pairwise distinct basic points of ``subsets`` (tuples
-    of N-1 row indices), in subset order, ``_VERTEX_BLOCK`` at a time."""
+    of N-1 row indices), in subset order, ``_VERTEX_BLOCK`` at a time.
+
+    Each point is compared only with the kept points whose keys w.x, for a
+    fixed generic w, lie within 2 tol sum(w) + 1e-12 |x|.w of its own, found
+    in a sorted index: a point within tol of x (max norm) differs from it
+    in w.x by at most tol sum(w), and the rest covers rounding.  So the
+    list is the one a comparison with every kept point gives.
+    """
     n = core.n_agents
     a, b = core.constraint_rows()
     flat = chain.from_iterable(subsets)
     kept = np.empty((16, n))  # the points kept so far: kept[:count]
     count = 0
+    weights = np.sqrt(np.arange(2.0, n + 2.0))  # lattice points rarely share a key
+    keys, order = [], []  # kept keys in ascending order, and their rows in kept
     while (rows := np.fromiter(islice(flat, _VERTEX_BLOCK * (n - 1)), dtype=np.intp).reshape(-1, n - 1)).size:
         mats = np.empty((rows.shape[0], n, n))
         mats[:, 0] = 1.0
@@ -354,12 +364,19 @@ def _basic_points(core: ScenarioCoreDesc, subsets) -> list[np.ndarray]:
         xs = np.linalg.solve(mats[regular], rhs[regular][..., None])[..., 0]
         keep = np.isfinite(xs).all(axis=1)
         keep[keep] = (xs[keep] @ a.T >= b - 1e-9).all(axis=1)
-        for x in xs[keep]:
-            if (np.abs(kept[:count] - x).max(axis=1, initial=0.0) <= _VERTEX_DEDUP_TOL).any():
+        points = xs[keep]
+        reach = 2 * _VERTEX_DEDUP_TOL * weights.sum() + 1e-12 * (np.abs(points) @ weights)
+        for x, key, half in zip(points, (points @ weights).tolist(), reach.tolist()):
+            lo = bisect_left(keys, key - half)
+            hi = bisect_right(keys, key + half, lo)
+            if lo < hi and (np.abs(kept[order[lo:hi]] - x).max(axis=1) <= _VERTEX_DEDUP_TOL).any():
                 continue
             if count == len(kept):
                 kept = np.concatenate([kept, np.empty_like(kept)])
             kept[count] = x
+            at = bisect_right(keys, key, lo, hi)
+            keys.insert(at, key)
+            order.insert(at, count)
             count += 1
     return list(kept[:count])
 

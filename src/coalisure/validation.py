@@ -179,17 +179,6 @@ class ViolationEstimate:
     upper: float
     seed: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p_hat": self.p_hat,
-            "n_samples": self.n_samples,
-            "hits": self.hits,
-            "cp_lower": self.lower,
-            "cp_upper": self.upper,
-            "confidence": CP_CONFIDENCE,
-            "seed": self.seed,
-        }
-
 
 def _allocation_thresholds(spec: GameSpec, x: Sequence[float]) -> dict[int, float]:
     """What the allocation pays each coalition, by coalition mask."""

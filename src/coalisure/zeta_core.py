@@ -198,17 +198,6 @@ def complexity_counts_from_slacks(
     return primary, finer
 
 
-def complexity_counts(sol: ZetaSolution, tol: float = POSITIVE_SLACK_TOL) -> dict:
-    """Per-agent positive-slack counts with the thresholds used."""
-    primary, finer = complexity_counts_from_slacks(sol.zeta_star, tol)
-    return {
-        "s_star": primary,
-        "s_star_sensitivity": finer,
-        "tol": tol,
-        "tol_sensitivity": tol / 10.0,
-    }
-
-
 def zeta_certificate(
     split: BetaSplit,
     s_star: tuple[int, ...] | list[int],

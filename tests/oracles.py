@@ -4,7 +4,7 @@ Everything here deliberately avoids the library's own computational paths:
 exact rational arithmetic and a one-subset-at-a-time loop for vertex
 enumeration, LP minima in given directions for vertex lists too large for
 that loop, double loops for maxima, grid search for emptiness,
-high-precision term summation and an incomplete-beta sign evaluator for
+high-precision term summation and a binomial-tail sign evaluator for
 the certificate polynomial, coverage trials run one method at a time,
 each with its own fresh draw, and fresh uniform draws by one broadcast
 over the whole array.  The minimal-compression search enumerates sample
@@ -23,7 +23,7 @@ from operator import attrgetter
 
 import mpmath as mp
 import numpy as np
-from scipy.special import betainc
+from scipy.special import betainc, logsumexp
 
 from coalisure import compression, lp, scenario_core, validation, zeta_core
 from coalisure.errors import CoalisureError, EmptyCoreError, GuardError
@@ -132,13 +132,18 @@ def loop_core_vertices(core):
         raise GuardError(
             f"vertex enumeration is guarded to <= {LOOP_VERTEX_GUARD_AGENTS} agents"
         )
+    m = len(core.constraint_rows()[1])
+    return loop_basic_points(core, combinations(range(m), n - 1)) if m >= n - 1 else []
+
+
+def loop_basic_points(core, subsets):
+    """One ``np.linalg.solve`` per subset of rows; a feasible point is kept
+    unless it lies within the dedup tolerance of a point kept before it,
+    compared with every kept point."""
     a, b = core.constraint_rows()
-    m = a.shape[0]
-    if m < n - 1:
-        return []
-    ones = np.ones(n)
-    out: list[np.ndarray] = []
-    for rows in combinations(range(m), n - 1):
+    ones = np.ones(core.n_agents)
+    kept = np.empty((0, core.n_agents))
+    for rows in subsets:
         mat = np.vstack([ones, a[list(rows)]])
         rhs = np.concatenate([[core.grand_value], b[list(rows)]])
         try:
@@ -147,13 +152,9 @@ def loop_core_vertices(core):
             continue
         if not np.isfinite(x).all():
             continue
-        if (a @ x >= b - 1e-9).all():
-            for seen in out:
-                if np.abs(seen - x).max() <= _VERTEX_DEDUP_TOL:
-                    break
-            else:
-                out.append(x)
-    return out
+        if (a @ x >= b - 1e-9).all() and not (np.abs(kept - x).max(axis=1, initial=0.0) <= _VERTEX_DEDUP_TOL).any():
+            kept = np.vstack([kept, x])
+    return list(kept)
 
 
 def support_gaps(core, verts, directions):
@@ -274,39 +275,77 @@ def mp_poly_normalized(t, k_total, s, beta, n_agents, dps=50):
         return float(h / lead)
 
 
-def _poly_signs_fast(ts: np.ndarray, k_total: int, s: int, beta_i: float, n_agents: int) -> np.ndarray:
-    """Signs of h on a grid via the negative-binomial closed form of the sums.
+def _log_pmf(n: int, js: np.ndarray, log_x: np.ndarray, log_t: np.ndarray) -> np.ndarray:
+    """log P(Bin(n, x) = j), points in rows and j in columns, with t = 1 - x."""
+    return log_binom(n, js) + np.multiply.outer(log_x, js) + np.multiply.outer(log_t, n - js)
 
-    ``sum_{j=s}^{M} C(j,s) t^(j-s) = I_{1-t}(s+1, M-s+1) / (1-t)^(s+1)``
-    collapses each sum to one incomplete-beta call.  Points where the
-    factor ``(1-t)^(s+1)`` underflows fall back to the log-sum-exp route.
+
+def _log_suffix_sums(a: np.ndarray) -> np.ndarray:
+    """log sum_{j >= i} exp(a[:, j]) for every column i.
+
+    One cumulative sum scaled by each row's peak; a row whose smallest sum
+    falls within reach of the underflow edge is redone by log-domain
+    accumulation, so small tails keep their digits.
     """
-    signs = np.empty(ts.size)
-    one_m = 1.0 - ts
-    safe = (s + 1) * np.log(np.maximum(one_m, 1e-300)) > -600.0  # overflow guard
-    if safe.any():
-        t_s = ts[safe]
-        log_pos = log_binom(k_total, s) + (k_total - s) * np.log(t_s)
-        om = 1.0 - t_s
-        scale = (s + 1) * np.log(om)
-        a = s + 1
-        b_lo, b_hi = k_total - s + 1, 4 * k_total - s + 1
-        cdf_lo = betainc(a, b_lo, om)
-        # difference of two saturating CDFs: switch to the survival side
-        # where it cancels, I_x(a,b) = 1 - I_{1-x}(b,a)
-        diff_cdf = betainc(a, b_hi, om) - cdf_lo
-        diff_sf = betainc(b_lo, a, t_s) - betainc(b_hi, a, t_s)
-        tail_diff = np.where(cdf_lo > 0.5, diff_sf, diff_cdf)
+    peak = a.max(axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.cumsum(np.exp(a[:, ::-1] - peak), axis=1)[:, ::-1]) + peak
+    lost = out[:, -1] < peak[:, 0] - 600.0
+    if lost.any():
+        out[lost] = np.logaddexp.accumulate(a[lost, ::-1], axis=1)[:, ::-1]
+    return out
+
+
+def _log_upper_tails(n: int, m: int, x, log_x, log_t) -> np.ndarray:
+    """log P(Bin(n, x) >= i) for i = 1..m (columns) at each point (rows)."""
+    head = _log_pmf(n, np.arange(1, m + 1), log_x, log_t)
+    if n == m:
+        return _log_suffix_sums(head)
+    # the mass above m: one incomplete-beta call per point, or the
+    # log-sum-exp of its pmf terms where that underflows
+    with np.errstate(divide="ignore"):
+        rest = np.log(betainc(m + 1, n - m, x))
+    small = rest < -600.0
+    if small.any():
+        rest[small] = logsumexp(_log_pmf(n, np.arange(m + 1, n + 1), log_x[small], log_t[small]), axis=1)
+    return _log_suffix_sums(np.hstack([head, rest[:, None]]))[:, :m]
+
+
+def _poly_signs_fast(ts: np.ndarray, k_total: int, beta_i: float, n_agents: int) -> np.ndarray:
+    """Signs of h at each 0 < t < 1 (rows) for every s = 0..K-1 (columns).
+
+    With x = 1 - t, the negative-binomial identity
+    ``sum_{j=s}^{M} C(j,s) t^(j-s) = P(Bin(M+1, x) >= s+1) / x^(s+1)``
+    turns the middle sum into one binomial upper tail and the j > K sum
+    into the difference of two, P(Bin(4K+1, x) >= s+1) - P(Bin(K+1, x) >=
+    s+1).  Each tail comes for every s at once from one pmf row per point
+    and one reverse cumulative sum, all in the log domain.  Where the
+    difference cancels, its rounding error is below N ulps of the middle
+    term, since P(Bin(K+1, x) >= s+1) <= (K+1) P(Bin(K, x) >= s+1) and the
+    weights' ratio is N/(3K).
+    """
+    ts = np.asarray(ts, dtype=float)
+    if not ((ts > 0.0) & (ts < 1.0)).all():
+        raise ValueError("the sign oracle needs 0 < t < 1")
+    w_mid = beta_i / (2.0 * n_agents)
+    w_tail = beta_i / (6.0 * k_total)
+    s = np.arange(k_total)
+    out = np.empty((ts.size, k_total))
+    block = 1024  # points per pass, so the pmf rows stay a few MB
+    for lo in range(0, ts.size, block):
+        t = ts[lo : lo + block]
+        x = 1.0 - t
+        log_t, log_x = np.log(t), np.log(x)
+        scale = np.multiply.outer(log_x, s + 1)  # log x^(s+1)
+        u_k = _log_upper_tails(k_total, k_total, x, log_x, log_t)
+        # P(Bin(K+1, x) >= s+1) = P(Bin(K, x) >= s+1) + x P(Bin(K, x) = s)
+        u_k1 = np.logaddexp(u_k, log_x[:, None] + _log_pmf(k_total, s, log_x, log_t))
+        u_4k1 = _log_upper_tails(4 * k_total + 1, k_total, x, log_x, log_t)
         with np.errstate(divide="ignore"):
-            mid = np.log(betainc(a, k_total - s, om)) - scale
-            tail = np.log(np.maximum(tail_diff, 0.0)) - scale
-        neg = np.logaddexp(log(beta_i / (2.0 * n_agents)) + mid, log(beta_i / (6.0 * k_total)) + tail)
-        signs[safe] = np.sign(log_pos - neg)
-    rest = ~safe
-    if rest.any():
-        log_pos, log_neg = _PolyTerms(k_total, s, beta_i, n_agents).log_parts(ts[rest])
-        signs[rest] = np.sign(log_pos - log_neg)
-    return signs
+            log_diff = u_4k1 + np.log1p(-np.exp(np.minimum(u_k1 - u_4k1, 0.0)))
+        neg = np.logaddexp(log(w_mid) + u_k, log(w_tail) + log_diff) - scale
+        out[lo : lo + block] = np.sign(log_binom(k_total, s) + np.multiply.outer(log_t, k_total - s) - neg)
+    return out
 
 
 def _poly_normalized(ts, k_total, s, beta_i, n_agents) -> np.ndarray:

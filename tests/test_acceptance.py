@@ -203,17 +203,14 @@ class TestCriterion5FormulaFidelity:
         for k, s in sampled:
             worst_mp = max(worst_mp, abs(mp_poly_normalized(roots[(k, s)], k, s, beta, n_agents)))
         assert worst_mp <= 1e-10
-        # smallest-root confirmation: no sign change below the root
-        for k, s in roots:
-            if s == k:
-                continue
-            t = roots[(k, s)]
+        # smallest-root confirmation: no sign change below the root; every
+        # root is below 1, so the grid's last point is never checked
+        for k in range(1, 201):
             grid = np.arange(1, 64 * k + 1) / (64 * k)
-            below = grid[grid < t - 1.0 / (64 * k) * 1e-6]
-            if below.size == 0:
-                continue
-            signs = _poly_signs_fast(below, k, s, beta, n_agents)
-            assert (signs < 0).all(), (k, s)
+            signs = _poly_signs_fast(grid[:-1], k, beta, n_agents)
+            for s in range(k):
+                below = grid[:-1] < roots[(k, s)] - 1.0 / (64 * k) * 1e-6
+                assert (signs[below, s] < 0).all(), (k, s)
         # and with the log-sum-exp evaluator on the small-K prefix grids
         for k, s in sampled:
             if k > 40:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from coalisure import risk
 from coalisure.errors import NoRootError
@@ -21,7 +22,33 @@ def test_root_in_a_positive_interval_narrower_than_a_grid_step():
     grid = np.arange(1, 64 * k + 1) / (64 * k)
     below = grid[grid < t]
     assert (_poly_normalized(below, k, s, beta, n) < 0).all()
-    assert (_poly_signs_fast(below, k, s, beta, n) < 0).all()
+    assert (_poly_signs_fast(below, k, beta, n)[:, s] < 0).all()
+
+
+@pytest.mark.parametrize(
+    "k,s,bracket,h_at_one",
+    [
+        (24, 5, (0.5, 0.75), -1),  # the search moved the lower end off 0, to t = 0.5
+        (200, 0, (0.5, 1.0), 1),  # h(1) > 0 at once; the lower end comes from halving t
+    ],
+)
+def test_brent_bracket_ends(monkeypatch, k, s, bracket, h_at_one):
+    beta, n = 0.01, 3
+    brackets = []
+
+    def spy(f, a, b, **kwargs):
+        brackets.append((a, b))
+        return brentq(f, a, b, **kwargs)
+
+    monkeypatch.setattr(risk, "brentq", spy)
+    assert np.sign(mp_poly_normalized(1.0, k, s, beta, n)) == h_at_one
+    t, eps_bar = risk.solve_campi_polynomial.__wrapped__(k, beta, n, s)  # past the cache
+    assert brackets == [bracket]
+    assert eps_bar == 1.0 - t
+    assert abs(mp_poly_normalized(t, k, s, beta, n)) <= 1e-10
+    grid = np.arange(1, 64 * k + 1) / (64 * k)
+    below = grid[grid < t]
+    assert below.size and (_poly_signs_fast(below, k, beta, n)[:, s] < 0).all()
 
 
 def test_no_root_threshold_at_the_readme_split():

@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from coalisure.errors import GameSpecError, UnknownCoalitionError
 from coalisure.game import (
     Coalition,
     GameSpec,
     ValueModel,
-    coalition_value,
     enumerate_subcoalitions,
-    excess,
     subcoalition_budget,
 )
 
@@ -85,17 +81,17 @@ class TestEnumeration:
 class TestValueModel:
     def test_affine_evaluation(self):
         model = ValueModel.affine(1, {Coalition.of(0): (1.0, [2.0])})
-        assert coalition_value(model, Coalition.of(0), [0.5]) == pytest.approx(2.0)
+        assert model.value(Coalition.of(0), [0.5]) == pytest.approx(2.0)
 
     def test_constant_form(self):
         model = ValueModel.affine(1, {Coalition.of(0): (0.0, [0.0])})
-        assert coalition_value(model, Coalition.of(0), [123.0]) == 0.0
+        assert model.value(Coalition.of(0), [123.0]) == 0.0
 
     def test_max_affine(self):
         model = ValueModel(
             1, {Coalition.of(0): [(0.0, [1.0]), (1.0, [-1.0])]}
         )
-        assert coalition_value(model, Coalition.of(0), [0.2]) == pytest.approx(0.8)
+        assert model.value(Coalition.of(0), [0.2]) == pytest.approx(0.8)
 
     def test_unknown_coalition(self):
         model = ValueModel.affine(1, {Coalition.of(0): (0.0, [0.0])})
@@ -111,35 +107,6 @@ class TestValueModel:
         batch = model.value_batch(Coalition.of(0, 1), xis)
         for row, expected in zip(xis, batch):
             assert model.value(Coalition.of(0, 1), row) == pytest.approx(expected)
-
-
-class TestExcess:
-    def test_positive_excess(self):
-        model = ValueModel.affine(1, {Coalition.of(0): (5.0, [0.0]), Coalition.of(1): (0.0, [0.0])})
-        spec = GameSpec(2, 10.0, model)
-        assert excess(spec, Coalition.of(0), [6.0, 4.0], [0.0]) == pytest.approx(1.0)
-
-    def test_zero_excess(self):
-        spec = make_spec(3, grand=0.0)
-        assert excess(spec, Coalition.of(0, 1), [0.0, 0.0, 0.0], [0.0]) == pytest.approx(0.0)
-
-    def test_negative_excess(self):
-        model = ValueModel.affine(1, {Coalition.of(0): (0.0, [0.0]), Coalition.of(1): (4.0, [0.0])})
-        spec = GameSpec(2, 10.0, model)
-        assert excess(spec, Coalition.of(1), [2.0, 3.0], [0.0]) == pytest.approx(-1.0)
-
-    @given(
-        x=st.lists(st.floats(-50, 50), min_size=3, max_size=3),
-        y=st.lists(st.floats(-50, 50), min_size=3, max_size=3),
-        mask=st.integers(min_value=1, max_value=6),
-    )
-    def test_additivity_in_allocation(self, x, y, mask):
-        spec = make_spec(3)
-        S = Coalition(mask)
-        xs, ys = np.array(x), np.array(y)
-        lhs = excess(spec, S, xs + ys, [0.0])
-        rhs = excess(spec, S, xs, [0.0]) + sum(ys[a] for a in S.members)
-        assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
 class TestGameSpecValidation:

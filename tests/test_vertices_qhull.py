@@ -15,7 +15,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from oracles import support_gaps
+from oracles import loop_basic_points, support_gaps
 from scipy.spatial import QhullError
 from test_run_all_guard import affine_config
 from test_vertices_batched import UNIT2, all_coalitions_core, assert_same_vertices, random_full_game
@@ -204,3 +204,30 @@ def test_qhull_is_capped_by_agent_count(monkeypatch):
     monkeypatch.setattr(lp, "solve", None)
     with pytest.raises(GuardError, match=f"solve {comb(510, 8)} "):
         sc.vertices(core)
+
+
+def test_convex_seven_agent_core(monkeypatch):
+    """Bounds |S|^2 make the game convex, so the core's vertices are its
+    5,040 marginal vectors, each a permutation of 1, 3, ..., 13.  The
+    dedup's sorted index keeps what comparing each point with every kept
+    point keeps, on the same candidate subsets."""
+    model = ValueModel.affine(1, {Coalition(m): (0.0, [0.0]) for m in range(1, 2**7 - 1)})
+    spec = GameSpec(7, 49.0, model)
+    core = sc.build(spec, sc.bounds_from_values({c: float(len(c.members) ** 2) for c in spec.coalitions}))
+    streams = []
+    solve = sc._basic_points
+
+    def spy(core, subsets):
+        streams.append(list(subsets))
+        return solve(core, streams[-1])
+
+    monkeypatch.setattr(sc, "_basic_points", spy)
+    verts = sc.vertices(core)
+    assert len(verts) == 5040 and len(streams) == 1
+    assert all(sc.contains(core, v) for v in verts)
+    marginal = np.sort(np.array(verts), axis=1)
+    assert np.abs(marginal - np.arange(1, 14, 2)).max() <= 1e-9
+    assert len({tuple(np.argsort(v)) for v in verts}) == 5040
+    expected = loop_basic_points(core, streams[0])
+    assert len(expected) == len(verts)
+    assert all(np.array_equal(x, y) for x, y in zip(verts, expected))

@@ -148,10 +148,9 @@ class TestComplexityCounts:
         model = ValueModel.affine(1, {C1: (0.0, [1.0]), C2: (0.0, [1.0])})
         spec = GameSpec(2, 4.0, model)
         sol = zc.solve_zeta_program(spec, manual_samples([[3.0], [3.0]]))
-        report = zc.complexity_counts(sol)
-        assert report["s_star"] == (1, 0)
-        assert report["tol"] == pytest.approx(1e-7)
-        assert report["tol_sensitivity"] == pytest.approx(1e-8)
+        assert sol.s_star == (1, 0)
+        assert sol.s_star_sensitivity == (1, 0)
+        assert sol.positive_tol == pytest.approx(1e-7)
 
 
 class TestCertificate:
