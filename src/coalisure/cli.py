@@ -172,6 +172,7 @@ def load_config(path: Path) -> ExperimentConfig:
         if type(v) is not bool:
             raise ConfigError(f"compression.{name} must be true or false")
     mode = compression.CompressionMode(**toggles)
+    validation.check_support_ranks(spec, counts, methods)
     return ExperimentConfig(
         spec=spec,
         dist=dist,

@@ -5,11 +5,12 @@ per-agent compression feasibility programs, the lexicographic selections
 and the zeta slack program) runs in a :class:`Model`: one ``_Highs``
 instance of scipy's bindings in ``scipy.optimize._highspy._core`` for the
 HiGHS dual revised simplex (Huangfu & Hall, "Parallelizing the dual
-revised simplex method", *Math. Prog. Comp.* 10, 2018).  A model is filled
-once with the rows ``[A_eq; A_ge]`` (equality rows bounded to ``[b, b]``,
-inequality rows to ``[b, inf)``), a column-wise sparse matrix and the
-column lower bounds.  Options: ``output_flag=False``, ``threads=1`` and
-primal and dual feasibility tolerances of ``TOL = 1e-9``.
+revised simplex method", *Math. Prog. Comp.* 10, 2018).  A model loads
+its columns (lower bounds, costs), then every row through one row-wise
+path (``addRows``): first ``[A_eq; A_ge]``, equality rows bounded to
+``[b, b]`` and inequality rows to ``[b, inf)``, then each appended block.
+Options: ``output_flag=False``, ``threads=1`` and primal and dual
+feasibility tolerances of ``TOL = 1e-9``.
 
 One constraint system is one model.  A family of programs over it (a
 coalition's minimum under each cost, one pinned row per compression
@@ -166,29 +167,6 @@ class LpOutcome:
         return self.status == OPTIMAL
 
 
-def _highs_lp(lp: LinearProgram):
-    """The program as a ``HighsLp``: rows ``[A_eq; A_ge]``, column-wise."""
-    n, m = lp.n_vars, lp.b_eq.size + lp.b_ge.size
-    a_t = np.vstack([lp.a_eq, lp.a_ge]).T  # a_t[j] is column j of the rows
-    cols, rows = np.nonzero(a_t)  # sorted by column, then row
-    model = _highs.HighsLp()
-    model.num_col_ = n
-    model.num_row_ = m
-    model.col_cost_ = lp.objective
-    model.col_lower_ = np.full(n, -np.inf) if lp.lower_bounds is None else lp.lower_bounds
-    model.col_upper_ = np.full(n, np.inf)
-    model.row_lower_ = np.concatenate([lp.b_eq, lp.b_ge])
-    model.row_upper_ = np.concatenate([lp.b_eq, np.full(lp.b_ge.size, np.inf)])
-    matrix = model.a_matrix_
-    matrix.format_ = _highs.MatrixFormat.kColwise
-    matrix.num_col_ = n
-    matrix.num_row_ = m
-    matrix.start_ = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
-    matrix.index_ = rows
-    matrix.value_ = a_t[cols, rows]
-    return model
-
-
 class Model:
     """One HiGHS instance holding one constraint system.
 
@@ -201,14 +179,17 @@ class Model:
     """
 
     def __init__(self, program: LinearProgram):
-        self.program = program
-        self._cost = program.objective
+        self.program = p = program
         self._solved = False
         self._simplex = _OPTIONS.simplex_strategy
         self._highs = _highs._Highs()
         self._highs.passOptions(_OPTIONS)
-        if self._highs.passModel(_highs_lp(program)) == _highs.HighsStatus.kError:
-            raise LpNumericalError("HiGHS rejected the model")
+        lower = np.full(p.n_vars, -np.inf) if p.lower_bounds is None else p.lower_bounds
+        self._accept(self._highs.addVars(p.n_vars, lower, np.full(p.n_vars, np.inf)))
+        self._set_cost(p.objective)
+        # equality rows first, so >= row i sits at index b_eq.size + i (see pinned)
+        upper = np.concatenate([p.b_eq, np.full(p.b_ge.size, np.inf)])
+        self._add_rows(np.vstack([p.a_eq, p.a_ge]), np.concatenate([p.b_eq, p.b_ge]), upper)
 
     def minimize(self, cost=None) -> LpOutcome:
         """Minimize ``cost`` (default: the current cost) over the system."""
@@ -231,15 +212,20 @@ class Model:
         p = self.program
         a = _as_matrix(a, p.n_vars, "a")
         b = np.asarray(b, dtype=float).ravel()
+        self._add_rows(a, b, np.full(b.size, np.inf))
+        self.program = replace(p, a_ge=np.vstack([p.a_ge, a]), b_ge=np.concatenate([p.b_ge, b]))
+
+    def _add_rows(self, a: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> None:
+        """Append the rows ``lower <= a x <= upper`` as row-wise triplets."""
         rows, cols = np.nonzero(a)  # sorted by row, then column
-        starts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=b.size))[:-1]])
-        self._highs.addRows(
-            b.size, b, np.full(b.size, np.inf), rows.size,
-            starts.astype(np.int32), cols.astype(np.int32), a[rows, cols],
-        )
-        self.program = LinearProgram(
-            p.objective, p.a_eq, p.b_eq, np.vstack([p.a_ge, a]), np.concatenate([p.b_ge, b]), p.lower_bounds
-        )
+        starts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=lower.size))])[:-1]
+        triplets = starts.astype(np.int32), cols.astype(np.int32), a[rows, cols]
+        self._accept(self._highs.addRows(lower.size, lower, upper, rows.size, *triplets))
+
+    @staticmethod
+    def _accept(status) -> None:
+        if status == _highs.HighsStatus.kError:
+            raise LpNumericalError("HiGHS rejected the model")
 
     def _strategy(self, strategy: int) -> None:
         if strategy != self._simplex:

@@ -83,7 +83,7 @@ class BetaSplit:
         if any(not 0.0 < b < 1.0 for b in self.per_agent):
             raise CoalisureError("every per-agent beta must lie in (0,1)")
         if abs(sum(self.per_agent) - self.total) > 1e-12:
-            raise CoalisureError("per-agent betas must sum to the total")
+            raise CoalisureError(f"beta_split sums to {sum(self.per_agent):g}, but beta is {self.total:g}")
 
     @classmethod
     def equal(cls, beta: float, n_agents: int) -> "BetaSplit":
@@ -107,7 +107,7 @@ class BetaSplit:
     @classmethod
     def make(cls, beta: float, n_agents: int, strategy, counts=None) -> "BetaSplit":
         if isinstance(strategy, (list, tuple)):
-            return cls.explicit(strategy)
+            return cls(beta, cls.explicit(strategy).per_agent, "explicit")  # ranges first, then the sum
         if strategy == "equal":
             return cls.equal(beta, n_agents)
         if strategy == "proportional":

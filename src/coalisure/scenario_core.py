@@ -330,7 +330,9 @@ def _qhull_active_sets(core: ScenarioCoreDesc) -> list[tuple[int, ...]] | None:
     slack = points @ g.T - h
     if not np.isfinite(slack).all() or (slack < -tol).any():
         return None
-    active = [tuple(np.flatnonzero(row).tolist()) for row in np.unique(slack <= tol, axis=0)]
+    # dedup the flag rows packed eight to a byte: an eight times shorter sort key
+    packed = np.unique(np.packbits(slack <= tol, axis=1), axis=0)
+    active = [tuple(np.flatnonzero(row).tolist()) for row in np.unpackbits(packed, axis=1, count=len(h))]
     if any(len(rows) < n - 1 for rows in active):
         return None
     return active
@@ -384,7 +386,7 @@ def _basic_points(core: ScenarioCoreDesc, subsets) -> list[np.ndarray]:
 def lexicographic_allocation(core: ScenarioCoreDesc) -> np.ndarray:
     """The core point minimizing x_1, then x_2, ... (deterministic selection).
 
-    One model: after coordinate j is minimized, the cap x_j <= v_j + 1e-9
+    One model: after coordinate j is minimized, the cap x_j <= v_j + lp.TOL
     is appended as a row and the next coordinate is re-solved warm.
     """
     n = core.n_agents
@@ -397,5 +399,5 @@ def lexicographic_allocation(core: ScenarioCoreDesc) -> np.ndarray:
             raise LpError(f"core is unbounded below in coordinate {j + 1}")
         if j < n - 1:
             # -x_j >= -(v_j + tol)  i.e.  x_j <= v_j + tol
-            model.add_rows([-np.eye(n)[j]], [-(out.objective + 1e-9)])
+            model.add_rows([-np.eye(n)[j]], [-(out.objective + lp.TOL)])
     return out.x

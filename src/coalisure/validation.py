@@ -115,6 +115,16 @@ def _compression_provenance(config, seed) -> dict:
     return {"seed": seed, "compression": config.compression_mode.tag}
 
 
+def check_support_ranks(spec: GameSpec, counts: Sequence[int], methods: Sequence[str]) -> None:
+    """``allocation-apriori``, if among ``methods``, needs each K_i >= its agent's support rank."""
+    if risk.METHOD_ALLOCATION_APRIORI not in methods:
+        return
+    for agent, k in enumerate(counts):
+        if k < (rank := risk.support_rank(spec, agent)):
+            msg = f"agent {agent + 1} has {k} samples, support rank {rank}"
+            raise ConfigError(f"allocation-apriori needs K_i >= the support rank: {msg}")
+
+
 def _support_rank_bound(config, counts, seed) -> risk.RiskCertificate:
     if config.epsilon is None:
         raise ConfigError("allocation-apriori needs 'epsilon' in the config")
@@ -334,6 +344,7 @@ class CoverageConfig:
             raise ConfigError("counts must cover every agent")
         if self.method == risk.METHOD_ALLOCATION_APRIORI and self.epsilon is None:
             raise ConfigError("the support-rank method needs a total epsilon")
+        check_support_ranks(self.spec, self.counts, [self.method])
         if self.n_trials < 1 or self.n_fresh < 1:
             raise ConfigError("a coverage run needs at least one trial and one fresh draw")
 

@@ -40,7 +40,6 @@ from .sampling import PrivateSamples
 from .scenario_core import TightenedBounds
 
 POSITIVE_SLACK_TOL = 1e-7
-_TIE_TOL = 1e-9
 _VIOLATION_TOL = 1e-9
 
 
@@ -168,11 +167,11 @@ def solve_zeta_program(spec: GameSpec, samples: PrivateSamples) -> ZetaSolution:
     out = run(objective)
 
     # lexicographic tie-break over x on the optimal face
-    model.add_rows(-objective.reshape(1, -1), [-(out.objective + _TIE_TOL)])
+    model.add_rows(-objective.reshape(1, -1), [-(out.objective + lp.TOL)])
     for j in range(n):
         out = run(np.eye(1, n_vars, j)[0])
         if j < n - 1:
-            model.add_rows(-np.eye(1, n_vars, j), [-(out.objective + _TIE_TOL)])
+            model.add_rows(-np.eye(1, n_vars, j), [-(out.objective + lp.TOL)])
     x = out.x[:n]
 
     # the pointwise minimal slacks for x: max(0, u - x(S)) per sample

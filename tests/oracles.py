@@ -651,7 +651,7 @@ def cold_zeta_program(spec, samples):
 
     out = run(objective, [], [])
     extra_a = [-objective.reshape(1, -1)]
-    extra_b = [np.array([-(out.objective + zeta_core._TIE_TOL)])]
+    extra_b = [np.array([-(out.objective + lp.TOL)])]
     for j in range(n):
         cost = np.zeros(n_vars)
         cost[j] = 1.0
@@ -659,7 +659,7 @@ def cold_zeta_program(spec, samples):
         cap = np.zeros((1, n_vars))
         cap[0, j] = -1.0
         extra_a.append(cap)
-        extra_b.append(np.array([-(out.objective + zeta_core._TIE_TOL)]))
+        extra_b.append(np.array([-(out.objective + lp.TOL)]))
     x = out.x[:n]
     zeta = tuple(np.maximum(0.0, g.max(axis=1, initial=-np.inf)) for g in zeta_core._gaps(values, index, x))
     s_star, s_sens = zeta_core.complexity_counts_from_slacks(zeta)

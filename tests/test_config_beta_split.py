@@ -1,9 +1,11 @@
-"""An explicit beta split must list one number per agent; the loader says so."""
+"""An explicit beta split must list one number per agent, and the loader
+says so; its sum must be beta, and certify says so."""
 
 import pytest
 
 from coalisure.cli import load_config
-from coalisure.errors import ConfigError
+from coalisure.errors import CoalisureError, ConfigError
+from coalisure.risk import BetaSplit
 
 from test_pipeline import run, write_config
 
@@ -34,3 +36,20 @@ def test_malformed_split_is_a_config_error(tmp_path, command, name):
 def test_well_formed_split_still_loads(tmp_path):
     config = load_config(write_config(tmp_path, beta_split=[0.05, 0.05, 0.1]))
     assert config.beta_split == (0.05, 0.05, 0.1)
+
+
+def test_split_that_misses_beta_fails_certify(tmp_path):
+    """An explicit split is the budget itself: one summing to 0.03 under
+    beta 0.2 would certify at 0.03 while coverage reports 0.2."""
+    cfg = write_config(tmp_path, beta=0.2, beta_split=[0.01, 0.01, 0.01])
+    r = run("certify", "--config", cfg, "--out", tmp_path / "out", "--method", "core-apriori")
+    assert r.exit_code == 1, r.output
+    assert "beta_split sums to 0.03, but beta is 0.2" in r.output
+    assert not (tmp_path / "out" / "certificates.json").exists()
+
+
+def test_split_within_the_sum_tolerance_is_kept():
+    split = BetaSplit.make(0.2, 3, (0.05, 0.05, 0.1 + 5e-13))
+    assert split.per_agent == (0.05, 0.05, 0.1 + 5e-13)
+    with pytest.raises(CoalisureError, match="beta_split sums to 0.2, but beta is 0.21"):
+        BetaSplit.make(0.21, 3, (0.05, 0.05, 0.1))

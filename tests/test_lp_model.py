@@ -2,7 +2,12 @@
 pinned at equality and after rows are appended.  Each re-solve is checked
 against a fresh one-shot solve of the same program, and every status path
 of a warm answer is forced through a wrapper around the model's HiGHS
-instance."""
+instance.  HiGHS's own copy of a model, built and grown through the one
+row path, is read back against ``model.program``, and no other module
+imports the bindings."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +118,108 @@ class TestReSolves:
             model = Model(prog)
             runs.append([model.minimize(c).x.tobytes() for c in costs])
         assert runs[0] == runs[1] == runs[2]
+
+
+def highs_copy(model):
+    """HiGHS's own copy of the model: the dense matrix, the row bounds, the
+    column bounds and the costs."""
+    got = model._highs.getLp()
+    a = got.a_matrix_
+    start, index, value = np.asarray(a.start_, int), np.asarray(a.index_, int), np.asarray(a.value_)
+    dense = np.zeros((got.num_row_, got.num_col_))
+    if a.format_ == lp._highs.MatrixFormat.kColwise:
+        for j in range(got.num_col_):
+            dense[index[start[j] : start[j + 1]], j] = value[start[j] : start[j + 1]]
+    else:
+        assert a.format_ == lp._highs.MatrixFormat.kRowwise
+        for i in range(got.num_row_):
+            dense[i, index[start[i] : start[i + 1]]] = value[start[i] : start[i + 1]]
+    return dense, got.row_lower_, got.row_upper_, got.col_lower_, got.col_upper_, got.col_cost_
+
+
+def dense_program(prog):
+    """The same five arrays and costs, as ``model.program`` says they are."""
+    n = prog.n_vars
+    return (
+        np.vstack([prog.a_eq, prog.a_ge]),
+        np.concatenate([prog.b_eq, prog.b_ge]),
+        np.concatenate([prog.b_eq, np.full(prog.b_ge.size, np.inf)]),
+        np.full(n, -np.inf) if prog.lower_bounds is None else prog.lower_bounds,
+        np.full(n, np.inf),
+        prog.objective,
+    )
+
+
+def assert_highs_holds_the_program(model):
+    for got, want in zip(highs_copy(model), dense_program(model.program), strict=True):
+        assert np.array_equal(np.asarray(got, dtype=float), want)
+
+
+def encoder_programs(rng, n=4):
+    a_eq, a_ge = rng.normal(size=(2, n)), rng.normal(size=(5, n))
+    a_ge[a_ge < -0.5] = 0.0  # structural zeros, so the sparse pattern matters
+    return {
+        "equality-and-ge": LinearProgram.build(rng.normal(size=n), a_eq, rng.normal(size=2), a_ge, rng.normal(size=5)),
+        "ge-only": LinearProgram.build(rng.normal(size=n), a_ge=a_ge, b_ge=rng.normal(size=5)),
+        "finite-lower-bounds": LinearProgram.build(
+            rng.normal(size=n), a_eq[:1], [1.0], a_ge, rng.normal(size=5), lower_bounds=[0.0, -np.inf, -2.5, 1.0]
+        ),
+        "no-rows": LinearProgram.build(rng.normal(size=n), lower_bounds=np.zeros(n)),
+    }
+
+
+class TestOneRowPath:
+    @pytest.mark.parametrize("kind", ["equality-and-ge", "ge-only", "finite-lower-bounds", "no-rows"])
+    def test_highs_copy_equals_the_program(self, kind):
+        rng = np.random.default_rng(11)
+        prog = encoder_programs(rng)[kind]
+        model = Model(prog)
+        assert_highs_holds_the_program(model)
+        for rows in (1, 3, 0, 2):
+            a = rng.normal(size=(rows, prog.n_vars))
+            a[:, 1] = 0.0  # a column left empty by the new block
+            model.add_rows(a, rng.normal(size=rows))
+            assert_highs_holds_the_program(model)
+        assert model.program.b_ge.size == prog.b_ge.size + 6
+
+    def test_pinned_rows_are_indexed_after_the_equalities(self):
+        rng = np.random.default_rng(12)
+        prog = encoder_programs(rng)["equality-and-ge"]
+        model = Model(prog)
+        model.add_rows(rng.normal(size=(2, prog.n_vars)), [-5.0, -5.0])
+        held = []
+        for row in range(model.program.b_ge.size):
+            out = model.pinned(row)
+            assert_highs_holds_the_program(model)  # the pin is restored
+            if out.status == OPTIMAL:
+                assert abs(out.slack_ge[row]) <= 1e2 * lp.TOL
+                held.append(row)
+        assert set(held) & {prog.b_ge.size, prog.b_ge.size + 1}  # an appended row held at equality
+
+    def test_rejected_columns_and_rows_raise(self):
+        with pytest.raises(LpNumericalError, match="rejected"):
+            Model(LinearProgram.build([1.0, 1.0], a_ge=[[1e16, 0.0]], b_ge=[0.0]))
+        with pytest.raises(LpNumericalError, match="rejected"):
+            Model(LinearProgram(np.ones(1), np.zeros((0, 1)), np.zeros(0), np.zeros((0, 1)), np.zeros(0), np.array([np.inf])))
+        model = Model(LinearProgram.build([1.0, 1.0], a_ge=[[1.0, 0.0]], b_ge=[0.0]))
+        with pytest.raises(LpNumericalError, match="rejected"):
+            model.add_rows([[np.inf, 1.0]], [0.0])
+
+
+def test_only_lp_imports_the_highs_bindings():
+    package = Path(lp.__file__).parent
+    importers = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name.startswith("scipy.optimize._highspy") for name in names):
+                importers.add(path.relative_to(package).as_posix())
+    assert importers == {"lp.py"}
 
 
 class ForcedStatus:
