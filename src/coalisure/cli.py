@@ -56,6 +56,7 @@ each running all requested methods.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -172,7 +173,8 @@ def load_config(path: Path) -> ExperimentConfig:
         if type(v) is not bool:
             raise ConfigError(f"compression.{name} must be true or false")
     mode = compression.CompressionMode(**toggles)
-    validation.check_support_ranks(spec, counts, methods)
+    # a config without epsilon still loads; the commands that run the method check it
+    validation.check_prerequisites(spec, counts, epsilon, methods, needs_epsilon=False)
     return ExperimentConfig(
         spec=spec,
         dist=dist,
@@ -311,15 +313,21 @@ def main():
     """Scenario cores and stability certificates for uncertain coalitional games."""
 
 
-def _run(fn):
-    try:
-        fn()
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    except CoalisureError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+def _exits(command):
+    """The command, exiting 2 on a config error and 1 on any other package error."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            command(*args, **kwargs)
+        except ConfigError as exc:
+            click.echo(f"config error: {exc}", err=True)
+            sys.exit(2)
+        except CoalisureError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+
+    return run
 
 
 def _prepare(config_path: Path, out: Path, seed: int | None) -> ExperimentConfig:
@@ -330,18 +338,22 @@ def _prepare(config_path: Path, out: Path, seed: int | None) -> ExperimentConfig
     return config
 
 
+def _requested(config: ExperimentConfig, methods, ranks: bool = True) -> tuple[str, ...]:
+    """The ``--method`` override, else the config's methods, checked for what they need."""
+    requested = methods or config.methods
+    validation.check_prerequisites(config.spec, config.counts, config.epsilon, requested, ranks=ranks)
+    return requested
+
+
 @main.command()
 @_config_option
 @_out_option
 @_seed_option
+@_exits
 def generate(config_path, out, seed):
     """Draw the private multi-sample and write samples.csv."""
-
-    def go():
-        sampled = _write_samples(_prepare(config_path, out, seed), out)
-        click.echo(f"wrote {out / 'samples.csv'} ({sampled.samples.total} samples)")
-
-    _run(go)
+    sampled = _write_samples(_prepare(config_path, out, seed), out)
+    click.echo(f"wrote {out / 'samples.csv'} ({sampled.samples.total} samples)")
 
 
 @main.command()
@@ -349,15 +361,12 @@ def generate(config_path, out, seed):
 @_out_option
 @_seed_option
 @_samples_option
+@_exits
 def core(config_path, out, seed, samples_path):
     """Tightened bounds, emptiness flag, and vertices."""
-
-    def go():
-        config = _prepare(config_path, out, seed)
-        doc = _write_core(config, out, _load_samples(config, out, samples_path))
-        click.echo(f"wrote {out / 'core.json'} (empty={doc['empty']})")
-
-    _run(go)
+    config = _prepare(config_path, out, seed)
+    doc = _write_core(config, out, _load_samples(config, out, samples_path))
+    click.echo(f"wrote {out / 'core.json'} (empty={doc['empty']})")
 
 
 @main.command()
@@ -365,15 +374,12 @@ def core(config_path, out, seed, samples_path):
 @_out_option
 @_seed_option
 @_samples_option
+@_exits
 def compress(config_path, out, seed, samples_path):
     """Per-agent compression sets via the pinned-constraint feasibility runs."""
-
-    def go():
-        config = _prepare(config_path, out, seed)
-        cset = _write_compression(out, _load_samples(config, out, samples_path))
-        click.echo(f"wrote {out / 'compression.json'} (sizes={list(cset.cardinalities)})")
-
-    _run(go)
+    config = _prepare(config_path, out, seed)
+    cset = _write_compression(out, _load_samples(config, out, samples_path))
+    click.echo(f"wrote {out / 'compression.json'} (sizes={list(cset.cardinalities)})")
 
 
 @main.command()
@@ -382,19 +388,17 @@ def compress(config_path, out, seed, samples_path):
 @_seed_option
 @_samples_option
 @_method_option("Certificate method (repeatable).")
+@_exits
 def certify(config_path, out, seed, samples_path, methods):
     """Write one certificate per requested method to certificates.json."""
-
-    def go():
-        config = _prepare(config_path, out, seed)
-        requested = methods or config.methods
-        sampled = None
-        if any(validation.METHODS[m].needs_samples for m in requested):
-            sampled = _load_samples(config, out, samples_path)
-        write_json(out / "certificates.json", _certify(config, sampled, requested))
-        click.echo(f"wrote {out / 'certificates.json'} ({len(requested)} methods)")
-
-    _run(go)
+    config = _prepare(config_path, out, seed)
+    # a count below the support rank is the method's error entry, not a failed command
+    requested = _requested(config, methods, ranks=False)
+    sampled = None
+    if any(validation.METHODS[m].needs_samples for m in requested):
+        sampled = _load_samples(config, out, samples_path)
+    write_json(out / "certificates.json", _certify(config, sampled, requested))
+    click.echo(f"wrote {out / 'certificates.json'} ({len(requested)} methods)")
 
 
 @main.command()
@@ -402,15 +406,12 @@ def certify(config_path, out, seed, samples_path, methods):
 @_out_option
 @_seed_option
 @_samples_option
+@_exits
 def zeta(config_path, out, seed, samples_path):
     """Slack-minimizing allocation, complexity counts, and its certificate."""
-
-    def go():
-        config = _prepare(config_path, out, seed)
-        sol = _write_zeta(config, out, _load_samples(config, out, samples_path))
-        click.echo(f"wrote {out / 'zeta.json'} (objective={sol.objective:.6g})")
-
-    _run(go)
+    config = _prepare(config_path, out, seed)
+    sol = _write_zeta(config, out, _load_samples(config, out, samples_path))
+    click.echo(f"wrote {out / 'zeta.json'} (objective={sol.objective:.6g})")
 
 
 @main.command()
@@ -419,18 +420,15 @@ def zeta(config_path, out, seed, samples_path):
 @_method_option("Method to validate (repeatable).")
 @_trials_option
 @_fresh_option
+@_exits
 def validate(config_path, out, methods, trials, fresh):
     """Coverage experiments: certified levels vs Monte Carlo estimates."""
-
-    def go():
-        config = _prepare(config_path, out, None)
-        for report in _write_coverage(config, out, methods or config.methods, trials, fresh):
-            click.echo(
-                f"{report.method}: exceedance {report.exceedance_frequency:.4f} over "
-                f"{report.n_trials} trials ({report.n_failed} failed)"
-            )
-
-    _run(go)
+    config = _prepare(config_path, out, None)
+    for report in _write_coverage(config, out, methods or config.methods, trials, fresh):
+        click.echo(
+            f"{report.method}: exceedance {report.exceedance_frequency:.4f} over "
+            f"{report.n_trials} trials ({report.n_failed} failed)"
+        )
 
 
 @main.command(name="run-all")
@@ -440,22 +438,19 @@ def validate(config_path, out, methods, trials, fresh):
 @_method_option("Restrict certificate methods.")
 @_trials_option
 @_fresh_option
+@_exits
 def run_all(config_path, out, seed, methods, trials, fresh):
     """generate -> core -> zeta -> certify -> compress -> validate on one sample
     set; validation runs every method on each trial's shared draws."""
-
-    def go():
-        config = _prepare(config_path, out, seed)
-        requested = methods or config.methods
-        sampled = _write_samples(config, out)
-        _write_core(config, out, sampled)
-        _write_zeta(config, out, sampled)
-        write_json(out / "certificates.json", _certify(config, sampled, requested))
-        _write_compression(out, sampled)
-        _write_coverage(config, out, requested, trials, fresh)
-        click.echo(f"wrote pipeline artifacts to {out}")
-
-    _run(go)
+    config = _prepare(config_path, out, seed)
+    requested = _requested(config, methods)
+    sampled = _write_samples(config, out)
+    _write_core(config, out, sampled)
+    _write_zeta(config, out, sampled)
+    write_json(out / "certificates.json", _certify(config, sampled, requested))
+    _write_compression(out, sampled)
+    _write_coverage(config, out, requested, trials, fresh)
+    click.echo(f"wrote pipeline artifacts to {out}")
 
 
 if __name__ == "__main__":

@@ -23,7 +23,11 @@ simplex; a pinned row or appended rows leave the basis dual feasible, and
 those re-solves run the dual simplex.  (After a cost change the dual
 simplex, too, ends within the 1e-9 tolerances of the optimum, but on
 degenerate cores with 1e-9 caps it can stop 1e-9 short of the point a cold
-solve returns.)  ``solve`` and ``feasible`` are one-shot models.
+solve returns.)  ``solve`` and ``feasible`` are one-shot models.  Both
+deterministic selections (the lexicographic core allocation and the zeta
+program) are one :meth:`Model.lexmin`: for each cost c_j in turn, minimize
+it, append the rows a callback finds violated and re-solve until it finds
+none, then cap ``-c_j.x >= -(optimum + TOL)`` before c_{j+1}.
 
 With one thread and HiGHS's fixed default random seed, a model's answers
 are a function of its program and of the sequence of re-solves before
@@ -55,7 +59,7 @@ the only place that imports them; they exist from scipy 1.15 on.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -172,8 +176,9 @@ class Model:
 
     Built from a :class:`LinearProgram`, it re-solves under a new cost
     (:meth:`minimize`), with one ``>=`` row held at equality
-    (:meth:`pinned`) and after ``>=`` rows are appended (:meth:`add_rows`);
-    each re-solve starts from the basis the previous one left.  ``program``
+    (:meth:`pinned`), after ``>=`` rows are appended (:meth:`add_rows`) and
+    through a sequence of capped costs (:meth:`lexmin`); each re-solve
+    starts from the basis the previous one left.  ``program``
     is the current system, so outcomes report slacks for every row.  A
     model is not shared between threads.
     """
@@ -206,6 +211,21 @@ class Model:
             return self._solve(pin=row)
         finally:
             self._highs.changeRowBounds(at, bound, np.inf)
+
+    def lexmin(self, costs, violated: Callable[[np.ndarray], tuple] | None = None) -> LpOutcome:
+        """Minimize each row of ``costs`` in turn, capping each optimum at
+        +``TOL`` before the next; while ``violated(x)`` returns rows ``(a,
+        b)`` at an optimal ``x``, append ``a x >= b`` and re-solve.  The
+        first outcome that is not optimal comes back at once."""
+        costs = np.asarray(costs, dtype=float)
+        for j, cost in enumerate(costs):
+            out = self.minimize(cost)
+            while out.is_optimal and violated is not None and (rows := violated(out.x)) is not None:
+                self.add_rows(*rows)
+                out = self.minimize()
+            if not out.is_optimal or j == len(costs) - 1:
+                return out
+            self.add_rows(-cost.reshape(1, -1), [-(out.objective + TOL)])
 
     def add_rows(self, a, b) -> None:
         """Append the rows ``a x >= b``."""

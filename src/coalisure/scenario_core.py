@@ -384,20 +384,12 @@ def _basic_points(core: ScenarioCoreDesc, subsets) -> list[np.ndarray]:
 
 
 def lexicographic_allocation(core: ScenarioCoreDesc) -> np.ndarray:
-    """The core point minimizing x_1, then x_2, ... (deterministic selection).
-
-    One model: after coordinate j is minimized, the cap x_j <= v_j + lp.TOL
-    is appended as a row and the next coordinate is re-solved warm.
-    """
+    """The core point minimizing x_1, then x_2, ... (deterministic selection):
+    one :meth:`lp.Model.lexmin`, each coordinate capped at v_j + lp.TOL."""
     n = core.n_agents
-    model = lp.Model(_core_lp(core, np.eye(n)[0]))
-    for j in range(n):
-        out = model.minimize(np.eye(n)[j])
-        if out.status == lp.INFEASIBLE:
-            raise EmptyCoreError("cannot select an allocation from an empty core")
-        if out.status == lp.UNBOUNDED:
-            raise LpError(f"core is unbounded below in coordinate {j + 1}")
-        if j < n - 1:
-            # -x_j >= -(v_j + tol)  i.e.  x_j <= v_j + tol
-            model.add_rows([-np.eye(n)[j]], [-(out.objective + lp.TOL)])
+    out = lp.Model(_core_lp(core, np.eye(n)[0])).lexmin(np.eye(n))
+    if out.status == lp.INFEASIBLE:
+        raise EmptyCoreError("cannot select an allocation from an empty core")
+    if out.status == lp.UNBOUNDED:
+        raise LpError("core is unbounded below in a coordinate")
     return out.x

@@ -115,12 +115,18 @@ def _compression_provenance(config, seed) -> dict:
     return {"seed": seed, "compression": config.compression_mode.tag}
 
 
-def check_support_ranks(spec: GameSpec, counts: Sequence[int], methods: Sequence[str]) -> None:
-    """``allocation-apriori``, if among ``methods``, needs each K_i >= its agent's support rank."""
+def check_prerequisites(spec: GameSpec, counts, epsilon, methods, *, needs_epsilon=True, ranks=True) -> None:
+    """A :class:`ConfigError` unless ``allocation-apriori``, if among
+    ``methods``, has a total ``epsilon`` (if ``needs_epsilon``), every agent
+    in some coalition and (if ``ranks``) each K_i >= its support rank."""
     if risk.METHOD_ALLOCATION_APRIORI not in methods:
         return
+    if needs_epsilon and epsilon is None:
+        raise ConfigError("allocation-apriori needs 'epsilon' in the config")
     for agent, k in enumerate(counts):
-        if k < (rank := risk.support_rank(spec, agent)):
+        if not spec.allowed(agent):
+            raise ConfigError(f"allocation-apriori needs every agent in a coalition: agent {agent + 1} joins none")
+        if ranks and k < (rank := risk.support_rank(spec, agent)):
             msg = f"agent {agent + 1} has {k} samples, support rank {rank}"
             raise ConfigError(f"allocation-apriori needs K_i >= the support rank: {msg}")
 
@@ -342,9 +348,7 @@ class CoverageConfig:
             raise ConfigError(f"unknown certificate method {self.method!r}")
         if len(self.counts) != self.spec.n_agents:
             raise ConfigError("counts must cover every agent")
-        if self.method == risk.METHOD_ALLOCATION_APRIORI and self.epsilon is None:
-            raise ConfigError("the support-rank method needs a total epsilon")
-        check_support_ranks(self.spec, self.counts, [self.method])
+        check_prerequisites(self.spec, self.counts, self.epsilon, [self.method])
         if self.n_trials < 1 or self.n_fresh < 1:
             raise ConfigError("a coverage run needs at least one trial and one fresh draw")
 

@@ -17,7 +17,9 @@ The LP is solved by row generation: starting from each coalition's
 currently-binding sample rows, violated (agent, sample, coalition) rows
 are added until none remain, which yields the exact optimum of the full
 program.  A lexicographic tie-break over x selects one optimal point, up to
-its 1e-9 caps (see :func:`solve_zeta_program`).
+its 1e-9 caps (see :func:`solve_zeta_program`).  Both run in one
+:meth:`lp.Model.lexmin` call: the total slack, then x_1, ..., x_N, each
+under row generation.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .sampling import PrivateSamples
 from .scenario_core import TightenedBounds
 
 POSITIVE_SLACK_TOL = 1e-7
-_VIOLATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -133,45 +134,30 @@ def solve_zeta_program(spec: GameSpec, samples: PrivateSamples) -> ZetaSolution:
             b[r] = values[agent][k, pos]
         return a, b
 
+    def violated(x):
+        """The rows (agent, sample, coalition) that ``x`` violates and the program lacks, or None."""
+        added = []
+        for agent, gaps in enumerate(_gaps(values, index, x[:n])):
+            zv = x[n + zeta_offset[agent] : n + zeta_offset[agent] + counts[agent]]
+            worst = gaps.max(axis=1, initial=-np.inf) - zv
+            for k in np.flatnonzero(worst > lp.TOL):
+                key = (agent, int(k), int(np.argmax(gaps[int(k)])))
+                if key not in seen:
+                    seen.add(key)
+                    added.append(key)
+        return build_rows(added) if added else None
+
     eff_row = np.zeros(n_vars)
     eff_row[:n] = 1.0
     a_seed, b_seed = build_rows(seed_rows)
-    model = lp.Model(
-        lp.LinearProgram.build(
-            objective, a_eq=[eff_row], b_eq=[spec.grand_value],
-            a_ge=a_seed, b_ge=b_seed, lower_bounds=lower,
-        )
+    program = lp.LinearProgram.build(
+        objective, a_eq=[eff_row], b_eq=[spec.grand_value],
+        a_ge=a_seed, b_ge=b_seed, lower_bounds=lower,
     )
-
-    def run(cost):
-        """Minimize ``cost``, appending violated (agent, sample, coalition)
-        rows until none remain; returns the LP outcome."""
-        out = model.minimize(cost)
-        while True:
-            if out.status != lp.OPTIMAL:
-                raise LpError(f"slack program came back {out.status}")
-            added = []
-            for agent, gaps in enumerate(_gaps(values, index, out.x[:n])):
-                zv = out.x[n + zeta_offset[agent] : n + zeta_offset[agent] + counts[agent]]
-                worst = gaps.max(axis=1, initial=-np.inf) - zv
-                for k in np.flatnonzero(worst > _VIOLATION_TOL):
-                    key = (agent, int(k), int(np.argmax(gaps[int(k)])))
-                    if key not in seen:
-                        seen.add(key)
-                        added.append(key)
-            if not added:
-                return out
-            model.add_rows(*build_rows(added))
-            out = model.minimize()
-
-    out = run(objective)
-
-    # lexicographic tie-break over x on the optimal face
-    model.add_rows(-objective.reshape(1, -1), [-(out.objective + lp.TOL)])
-    for j in range(n):
-        out = run(np.eye(1, n_vars, j)[0])
-        if j < n - 1:
-            model.add_rows(-np.eye(1, n_vars, j), [-(out.objective + lp.TOL)])
+    # total slack, then the lexicographic tie-break over x on the optimal face
+    out = lp.Model(program).lexmin(np.vstack([objective, np.eye(n, n_vars)]), violated)
+    if not out.is_optimal:
+        raise LpError(f"slack program came back {out.status}")
     x = out.x[:n]
 
     # the pointwise minimal slacks for x: max(0, u - x(S)) per sample

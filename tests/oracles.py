@@ -640,7 +640,7 @@ def cold_zeta_program(spec, samples):
             for agent, gaps in enumerate(zeta_core._gaps(values, index, out.x[:n])):
                 zv = out.x[n + offset[agent] : n + offset[agent] + counts[agent]]
                 worst = gaps.max(axis=1, initial=-np.inf) - zv
-                for k in np.flatnonzero(worst > zeta_core._VIOLATION_TOL):
+                for k in np.flatnonzero(worst > lp.TOL):
                     key = (agent, int(k), int(np.argmax(gaps[int(k)])))
                     if key not in seen:
                         seen.add(key)

@@ -4,17 +4,25 @@ against a fresh one-shot solve of the same program, and every status path
 of a warm answer is forced through a wrapper around the model's HiGHS
 instance.  HiGHS's own copy of a model, built and grown through the one
 row path, is read back against ``model.program``, and no other module
-imports the bindings."""
+imports the bindings.  ``lexmin`` caps each cost's optimum before the next
+and runs row generation through a callback; only ``lp.py`` appends rows."""
 
 import ast
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from coalisure import lp
+from coalisure import scenario_core as sc
 from coalisure.errors import LpNumericalError
+from coalisure.game import GameSpec
 from coalisure.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, Model, solve
+from coalisure.sampling import DistributionSpec, draw_private
+
+from oracles import cold_lexicographic_allocation
+from test_pipeline import README_GAME
 
 _MS = lp._highs.HighsModelStatus
 
@@ -332,3 +340,83 @@ class TestWarmStatusPaths:
         assert model.minimize([1.0, 1.0]).status == OPTIMAL
         model.add_rows([[0.0, 1.0]], [2.0])  # 2 <= x1 <= 1
         assert model.minimize([-1.0, 0.0]).status == INFEASIBLE
+
+
+def readme_core():
+    spec = GameSpec.from_json_dict(README_GAME)
+    samples = draw_private(DistributionSpec.uniform([0.0, 0.0], [1.0, 1.0]), (8, 8, 8), 5)
+    return sc.build(spec, sc.tighten(spec, samples))
+
+
+def core_program(core):
+    n = core.n_agents
+    a, b = core.constraint_rows()
+    return LinearProgram.build(np.zeros(n), a_eq=[np.ones(n)], b_eq=[core.grand_value], a_ge=a, b_ge=b)
+
+
+class Release:
+    """A row-generation callback that appends the first held-back row the
+    answer violates, one per call, and counts its calls."""
+
+    def __init__(self, a, b):
+        self.a, self.b = list(a), list(b)
+        self.calls = self.released = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        for r, (row, bound) in enumerate(zip(self.a, self.b)):
+            if row @ x < bound - lp.TOL:
+                self.released += 1
+                return self.a.pop(r).reshape(1, -1), [self.b.pop(r)]
+        return None
+
+
+class TestLexmin:
+    def test_caps_select_the_cold_lexicographic_point(self):
+        core = readme_core()
+        prog = core_program(core)
+        model = Model(prog)
+        costs = np.eye(core.n_agents)
+        out = model.lexmin(costs)
+        assert out.status == OPTIMAL
+        assert np.abs(out.x - cold_lexicographic_allocation(core)).max() <= 1e-12
+        caps = model.program.a_ge[prog.b_ge.size :]
+        assert np.array_equal(caps, -costs[:-1])  # one cap per cost but the last
+
+    def test_row_generation_runs_until_nothing_is_violated(self):
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            prog = random_program(rng, m=12)
+            box = 2 * prog.n_vars  # random_program's box rows come first
+            model = Model(replace(prog, a_ge=prog.a_ge[:box], b_ge=prog.b_ge[:box]))
+            release = Release(prog.a_ge[box:], prog.b_ge[box:])
+            out = model.lexmin([prog.objective], release)
+            assert release.released >= 1
+            assert release.calls == release.released + 1
+            assert_same_answer(out, solve(prog))
+
+    @pytest.mark.parametrize(
+        "prog, status",
+        [
+            (LinearProgram.build([0.0, 0.0], a_ge=[[1.0, 0.0], [-1.0, 0.0]], b_ge=[1.0, 0.0]), INFEASIBLE),
+            (LinearProgram.build([0.0, 0.0], a_ge=[[1.0, 0.0]], b_ge=[0.0]), UNBOUNDED),
+        ],
+    )
+    def test_a_failed_cost_comes_back_at_once(self, prog, status):
+        model = Model(prog)
+        release = Release(np.zeros((0, 2)), [])
+        out = model.lexmin([[0.0, 1.0], [1.0, 0.0]], release)
+        assert out.status == status
+        assert release.calls == 0
+        assert model.program.b_ge.size == prog.b_ge.size  # no cap appended
+
+
+def test_only_lp_appends_rows():
+    package = Path(lp.__file__).parent
+    callers = {
+        path.relative_to(package).as_posix()
+        for path in package.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "add_rows"
+    }
+    assert callers == {"lp.py"}
