@@ -16,7 +16,6 @@ from .game import (
     Coalition,
     GameSpec,
     ValueModel,
-    enumerate_subcoalitions,
     subcoalition_budget,
 )
 from .sampling import DistributionSpec, PrivateSamples, draw_fresh, draw_private
@@ -29,7 +28,6 @@ __all__ = [
     "ValueModel",
     "DistributionSpec",
     "PrivateSamples",
-    "enumerate_subcoalitions",
     "subcoalition_budget",
     "draw_private",
     "draw_fresh",

@@ -244,7 +244,7 @@ def _write_core(config: ExperimentConfig, out: Path, sampled: validation.SampleS
     doc = desc.to_json_dict()
     doc["empty"] = scenario_core.is_empty(desc)
     try:
-        doc["vertices"] = [[float(v) for v in vertex] for vertex in scenario_core.vertices(desc)]
+        doc["vertices"] = [] if doc["empty"] else [[float(v) for v in p] for p in scenario_core.vertices(desc)]
     except GuardError as exc:
         doc["vertices_omitted"] = str(exc)
     write_json(out / "core.json", doc)

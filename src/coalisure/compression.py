@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp, scenario_core
-from .game import Coalition, GameSpec, enumerate_subcoalitions
+from .game import Coalition, GameSpec
 from .sampling import PrivateSamples
 
 
@@ -103,8 +103,6 @@ def compress_agent(
     :class:`lp.Model` re-solved once per pin.
     """
     allowed = spec.allowed(agent)
-    if not allowed:
-        return [], {}
     top, first = scenario_core.column_maxima(scenario_core.value_table(spec, samples)[agent])
     n = spec.n_agents
     model = lp.Model(
@@ -112,7 +110,7 @@ def compress_agent(
             np.zeros(n),
             a_eq=[np.ones(n)] if mode.efficiency else None,
             b_eq=[spec.grand_value] if mode.efficiency else None,
-            a_ge=np.array([c.indicator(n) for c in allowed]),
+            a_ge=spec.incidence[spec.allowed_rows(agent)],
             b_ge=top,
             lower_bounds=np.zeros(n) if mode.nonnegative else None,
         )
@@ -135,20 +133,20 @@ def compress_all(
 
 def rebuild_bounds(
     spec: GameSpec, samples: PrivateSamples, selection: tuple[tuple[int, ...], ...]
-) -> dict[int, float]:
-    """Tightened bounds recomputed from a per-agent subset of samples.
+) -> np.ndarray:
+    """Tightened bounds recomputed from a per-agent subset of samples, one
+    per row of ``spec.incidence``.
 
     Values come from the full sample set's value table and are then
     restricted, so a retained sample contributes bit-identically the value
     it contributed to the full bounds.  Coalitions none of whose members
     retained a sample get ``-inf`` (their constraint vanishes).
     """
-    out = dict.fromkeys((c.mask for c in enumerate_subcoalitions(spec)), -np.inf)
+    out = np.full(len(spec.coalitions), -np.inf)
     for agent, vals in enumerate(scenario_core.value_table(spec, samples)):
         if selection[agent]:
-            top, _ = scenario_core.column_maxima(vals[list(selection[agent])])
-            for c, v in zip(spec.allowed(agent), top):
-                out[c.mask] = max(out[c.mask], float(v))
+            rows = spec.allowed_rows(agent)
+            out[rows] = np.maximum(out[rows], scenario_core.column_maxima(vals[list(selection[agent])])[0])
     return out
 
 
@@ -157,7 +155,4 @@ def compression_reproduces_bounds(
 ) -> bool:
     """Bound-by-bound equality of the rebuilt core with the full-sample core."""
     full = scenario_core.tighten(spec, samples)
-    rebuilt = rebuild_bounds(spec, samples, selection)
-    return all(
-        rebuilt[c.mask] == full.value(c) for c in enumerate_subcoalitions(spec)
-    )
+    return bool((rebuild_bounds(spec, samples, selection) == full.values).all())

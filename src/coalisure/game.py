@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -60,21 +60,15 @@ class Coalition:
     def size(self) -> int:
         return bin(self.mask).count("1")
 
-    def contains(self, agent: int) -> bool:
-        return bool(self.mask >> agent & 1)
-
     def __contains__(self, agent: int) -> bool:
-        return self.contains(agent)
+        return bool(self.mask >> agent & 1)
 
     def __iter__(self):
         return iter(self.members)
 
     def indicator(self, n_agents: int) -> np.ndarray:
         """0/1 membership vector of length ``n_agents``."""
-        v = np.zeros(n_agents)
-        for a in self.members:
-            v[a] = 1.0
-        return v
+        return incidence((self,), n_agents)[0].copy()
 
     def label(self) -> str:
         """Human-readable 1-based member list, e.g. ``"1,3"``."""
@@ -124,9 +118,6 @@ class ValueModel:
     def defines(self, coalition: Coalition) -> bool:
         return coalition.mask in self._table
 
-    def coalitions(self) -> list[Coalition]:
-        return [Coalition(m) for m in sorted(self._table)]
-
     def pieces(self, coalition: Coalition) -> tuple[np.ndarray, np.ndarray]:
         try:
             return self._table[coalition.mask]
@@ -148,6 +139,16 @@ class ValueModel:
         return vals.max(axis=1)
 
 
+def incidence(coalitions: Sequence[Coalition], n_agents: int) -> np.ndarray:
+    """The read-only 0/1 membership matrix of ``coalitions``: row r is the
+    indicator of ``coalitions[r]`` over ``n_agents`` agents."""
+    rows = np.zeros((len(coalitions), n_agents))
+    for r, c in enumerate(coalitions):
+        rows[r, list(c.members)] = 1.0
+    rows.flags.writeable = False
+    return rows
+
+
 def _default_coalitions(n_agents: int) -> tuple[Coalition, ...]:
     """Every proper nonempty subset, in ascending mask order."""
     return tuple(Coalition(mask) for mask in range(1, (1 << n_agents) - 1))
@@ -162,7 +163,8 @@ class GameSpec:
     ``i``'s view of it, ``allowed(i)``, is the subset of coalitions
     containing ``i``; deriving the views from one global set makes the
     structure symmetric by construction.  ``None`` means all proper
-    nonempty subsets.
+    nonempty subsets.  Its ascending mask order is the row order of every
+    per-coalition array: ``incidence``, bounds, minima, thresholds, payoffs.
     """
 
     n_agents: int
@@ -197,11 +199,42 @@ class GameSpec:
     def uncertainty_dim(self) -> int:
         return self.value_model.dim
 
-    def allowed(self, agent: int) -> tuple[Coalition, ...]:
-        """Coalitions containing ``agent``, in ascending mask order."""
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """The read-only 0/1 incidence matrix of ``coalitions``, one row each."""
+        return incidence(self.coalitions, self.n_agents)
+
+    @cached_property
+    def _agent_rows(self) -> tuple[np.ndarray, ...]:
+        rows = tuple(np.flatnonzero(column) for column in self.incidence.T)
+        for r in rows:
+            r.flags.writeable = False
+        return rows
+
+    @cached_property
+    def _allowed(self) -> tuple[tuple[Coalition, ...], ...]:
+        return tuple(tuple(self.coalitions[r] for r in rows) for rows in self._agent_rows)
+
+    def allowed_rows(self, agent: int) -> np.ndarray:
+        """The ``incidence`` rows of the coalitions containing ``agent``,
+        ascending (read-only)."""
         if not 0 <= agent < self.n_agents:
             raise GameSpecError(f"agent index {agent} out of range")
-        return tuple(c for c in self.coalitions if c.contains(agent))
+        return self._agent_rows[agent]
+
+    def allowed(self, agent: int) -> tuple[Coalition, ...]:
+        """Coalitions containing ``agent``, in ascending mask order."""
+        self.allowed_rows(agent)  # the range check
+        return self._allowed[agent]
+
+    @cached_property
+    def _members(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.flatnonzero(row) for row in self.incidence)
+
+    def payoffs(self, x: np.ndarray) -> np.ndarray:
+        """x(S) for every coalition S, in row order, each summed as
+        ``x[members].sum()`` (a matrix product would reassociate the sums)."""
+        return np.array([x[members].sum() for members in self._members])
 
     def to_json_dict(self) -> dict:
         return {
@@ -271,16 +304,11 @@ def _coalition(label, where: str) -> Coalition:
         raise GameSpecError(f"{where}: label {label!r} is not a list of agent ids like '1,3'") from None
 
 
-def enumerate_subcoalitions(spec: GameSpec) -> list[Coalition]:
-    """All enforced subcoalitions, deduplicated, in ascending mask order."""
-    return list(spec.coalitions)
-
-
 def subcoalition_budget(n_agents: int) -> int:
     """Conventional subcoalition count 2^N - 1 used as a complexity budget.
 
     Counts every subset other than the grand coalition (the empty set
-    included), so it exceeds ``len(enumerate_subcoalitions(spec))`` for the
+    included), so it exceeds ``len(spec.coalitions)`` for the
     default structure by one.  Complexity budgets use this count; geometry
     uses the enforced-constraint count.
     """

@@ -316,10 +316,10 @@ def support_rank(spec: GameSpec, agent: int) -> int:
     null space of the incidence rows, so the rank equals the problem
     dimension minus that subspace's dimension.
     """
-    allowed = spec.allowed(agent)
-    if not allowed:
+    rows = spec.allowed_rows(agent)
+    if not rows.size:
         raise GameSpecError(f"agent {agent + 1} has no allowed coalitions")
-    return int(np.linalg.matrix_rank(np.array([c.indicator(spec.n_agents) for c in allowed])))
+    return int(np.linalg.matrix_rank(spec.incidence[rows]))
 
 
 def _binomial_mass(k_total: int, eps_i: float, rho_i: int, first: int) -> float:

@@ -18,14 +18,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, groupby, islice
 from math import comb
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial import HalfspaceIntersection, QhullError
 
 from . import lp
 from .errors import EmptyCoreError, GameSpecError, GuardError, LpError
-from .game import Coalition, GameSpec, enumerate_subcoalitions
+from .game import Coalition, GameSpec, incidence
 from .sampling import PrivateSamples
 
 _VERTEX_DEDUP_TOL = 1e-7
@@ -37,31 +37,45 @@ VERTEX_SUBSET_LIMIT = comb(62, 5)  # every subset of a full 6-agent core: 6,471,
 VERTEX_QHULL_AGENTS = 8
 
 
-@dataclass(frozen=True)
-class BoundEntry:
-    """One tightened bound with its argmax witness and per-agent maxima."""
-
-    value: float
-    witness_agent: int
-    witness_index: int
-    per_agent: dict[int, float]  # agent -> max over that agent's samples
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TightenedBounds:
-    """Map from coalition mask to its tightened right-hand side."""
+    """Tightened right-hand sides, one row per coalition of ``coalitions``
+    (ascending mask order; from :func:`tighten`, the rows of ``spec.incidence``).
 
-    entries: dict[int, BoundEntry]
+    ``maxima[r, i]`` is agent i's largest sampled value of coalition r and
+    ``argmax[r, i]`` the lowest sample index attaining it; where agent i is
+    not a member they hold ``-inf`` and -1.  A bound is its row's maximum,
+    witnessed by the lowest agent attaining it.  The arrays are read-only.
+    """
+
+    coalitions: tuple[Coalition, ...]
+    maxima: np.ndarray
+    argmax: np.ndarray
+
+    def __post_init__(self):
+        self.maxima.flags.writeable = self.argmax.flags.writeable = False
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """b_S per row."""
+        values = self.maxima.max(axis=1)
+        values.flags.writeable = False
+        return values
+
+    def row(self, coalition: Coalition) -> int:
+        """The coalition's row; a ``KeyError`` if it has no bound."""
+        r = bisect_left(self.coalitions, coalition)
+        if self.coalitions[r : r + 1] != (coalition,):
+            raise KeyError(coalition)
+        return r
 
     def value(self, coalition: Coalition) -> float:
-        return self.entries[coalition.mask].value
+        return float(self.values[self.row(coalition)])
 
     def witness(self, coalition: Coalition) -> tuple[int, int]:
-        e = self.entries[coalition.mask]
-        return (e.witness_agent, e.witness_index)
-
-    def coalitions(self) -> list[Coalition]:
-        return [Coalition(m) for m in sorted(self.entries)]
+        r = self.row(coalition)
+        agent = int(self.maxima[r].argmax())
+        return agent, int(self.argmax[r, agent])
 
 
 @dataclass(frozen=True)
@@ -72,8 +86,8 @@ class ScenarioCoreDesc:
     grand_value: float
     bounds: TightenedBounds
 
-    def coalitions(self) -> list[Coalition]:
-        return self.bounds.coalitions()
+    def coalitions(self) -> tuple[Coalition, ...]:
+        return self.bounds.coalitions
 
     def constraint_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(A, b) with one row per coalition constraint A x >= b (read-only)."""
@@ -81,22 +95,19 @@ class ScenarioCoreDesc:
 
     @cached_property
     def _rows(self) -> tuple[np.ndarray, np.ndarray]:
-        cs = self.coalitions()
-        a = np.array([c.indicator(self.n_agents) for c in cs])
-        b = np.array([self.bounds.value(c) for c in cs])
-        a.flags.writeable = b.flags.writeable = False
-        return a, b
+        return incidence(self.bounds.coalitions, self.n_agents), self.bounds.values
 
     @cached_property
-    def _minima(self) -> dict[int, float] | None:
-        """Every coalition's minimum payoff over the core, by mask, from one
-        model re-solved in ``coalitions()`` order; ``None`` for an empty core."""
+    def _minima(self) -> np.ndarray | None:
+        """Every coalition's minimum payoff over the core, in row order, from
+        one model re-solved row by row; ``None`` for an empty core."""
         model = lp.Model(_core_lp(self, np.zeros(self.n_agents)))
-        minima = {}
-        for c in self.coalitions():
-            minima[c.mask] = _minimum(model.minimize(c.indicator(self.n_agents)))
-            if minima[c.mask] is None:
+        minima = np.empty(len(self.bounds.coalitions))
+        for r, row in enumerate(self.constraint_rows()[0]):
+            if (minimum := _minimum(model.minimize(row))) is None:
                 return None
+            minima[r] = minimum
+        minima.flags.writeable = False
         return minima
 
     def to_json_dict(self) -> dict:
@@ -118,7 +129,8 @@ class ScenarioCoreDesc:
 
 def value_table(spec: GameSpec, samples: PrivateSamples) -> tuple[np.ndarray, ...]:
     """u_S at every agent's own samples: ``table[i][k, j] = u_S(xi_i^(k))``
-    for the j-th coalition S of ``spec.allowed(i)``.
+    for the j-th coalition S of ``spec.allowed(i)``: columns follow the
+    rows ``spec.allowed_rows(i)`` of ``spec.incidence``, ascending.
 
     Agent i's matrix is K_i x |allowed(i)| and read-only; each column is one
     ``value_batch`` call, so every consumer sees the values bit for bit as a
@@ -153,19 +165,14 @@ def tighten(spec: GameSpec, samples: PrivateSamples) -> TightenedBounds:
 
     Every member agent contributes (its allowed structure holds every
     coalition containing it); argmax ties break toward the lowest
-    (agent, sample) pair.
+    (agent, sample) pair.  The rows are those of ``spec.incidence``.
     """
-    maxima = []  # agent -> coalition mask -> (sampled max, first argmax)
+    shape = (len(spec.coalitions), spec.n_agents)
+    maxima, argmax = np.full(shape, -np.inf), np.full(shape, -1, dtype=np.intp)
     for agent, vals in enumerate(value_table(spec, samples)):
-        top, first = column_maxima(vals)
-        maxima.append({c.mask: (float(v), int(k)) for c, v, k in zip(spec.allowed(agent), top, first)})
-    entries: dict[int, BoundEntry] = {}
-    for coalition in enumerate_subcoalitions(spec):
-        found = {agent: maxima[agent][coalition.mask] for agent in coalition.members}
-        who = max(found, key=lambda agent: found[agent][0])  # the first of equal maxima
-        per_agent = {agent: v for agent, (v, _) in found.items()}
-        entries[coalition.mask] = BoundEntry(found[who][0], who, found[who][1], per_agent)
-    return TightenedBounds(entries)
+        rows = spec.allowed_rows(agent)
+        maxima[rows, agent], argmax[rows, agent] = column_maxima(vals)
+    return TightenedBounds(spec.coalitions, maxima, argmax)
 
 
 def build(spec: GameSpec, bounds: TightenedBounds) -> ScenarioCoreDesc:
@@ -175,16 +182,7 @@ def build(spec: GameSpec, bounds: TightenedBounds) -> ScenarioCoreDesc:
     )
 
 
-def bounds_from_values(values: Mapping[Coalition, float]) -> TightenedBounds:
-    """Bounds with given values and placeholder witnesses (tests, imports)."""
-    entries = {
-        c.mask: BoundEntry(float(v), c.members[0], 0, {c.members[0]: float(v)})
-        for c, v in values.items()
-    }
-    return TightenedBounds(entries)
-
-
-def contains(core: ScenarioCoreDesc, x: Sequence[float], tol: float = 1e-9) -> bool:
+def contains(core: ScenarioCoreDesc, x: Sequence[float], tol: float = lp.TOL) -> bool:
     """Membership test with an absolute tolerance on every constraint."""
     x = np.asarray(x, dtype=float)
     if x.shape != (core.n_agents,):
@@ -223,12 +221,12 @@ def coalition_min(core: ScenarioCoreDesc, coalition: Coalition) -> float:
     a value does not depend on which coalition was asked for first.  A
     coalition without a constraint row is solved on its own.
     """
-    minima = core._minima
-    if minima is not None and coalition.mask not in minima:
-        minima = {coalition.mask: _minimum(lp.solve(_core_lp(core, coalition.indicator(core.n_agents))))}
-    if minima is None or minima[coalition.mask] is None:
+    if core._minima is None:
         raise EmptyCoreError("coalition_min requires a non-empty core")
-    return minima[coalition.mask]
+    try:
+        return float(core._minima[core.bounds.row(coalition)])
+    except KeyError:
+        return _minimum(lp.solve(_core_lp(core, incidence((coalition,), core.n_agents)[0])))
 
 
 def _minimum(out: lp.LpOutcome) -> float | None:
@@ -301,7 +299,7 @@ def _qhull_active_sets(core: ScenarioCoreDesc) -> list[tuple[int, ...]] | None:
     if not 3 <= n <= VERTEX_QHULL_AGENTS:  # Qhull needs 2 dimensions
         return None
     full = (1 << n) - 1
-    masks = core.bounds.entries
+    masks = {c.mask for c in core.coalitions()}
     if any(1 << i not in masks or full ^ (1 << i) not in masks for i in range(n)):
         return None
     a, b = core.constraint_rows()
@@ -365,7 +363,7 @@ def _basic_points(core: ScenarioCoreDesc, subsets) -> list[np.ndarray]:
         regular = np.linalg.slogdet(mats)[0] != 0
         xs = np.linalg.solve(mats[regular], rhs[regular][..., None])[..., 0]
         keep = np.isfinite(xs).all(axis=1)
-        keep[keep] = (xs[keep] @ a.T >= b - 1e-9).all(axis=1)
+        keep[keep] = (xs[keep] @ a.T >= b - lp.TOL).all(axis=1)
         points = xs[keep]
         reach = 2 * _VERTEX_DEDUP_TOL * weights.sum() + 1e-12 * (np.abs(points) @ weights)
         for x, key, half in zip(points, (points @ weights).tolist(), reach.tolist()):

@@ -41,7 +41,7 @@ from scipy.special import betaincinv
 
 from . import compression, risk, scenario_core, zeta_core
 from .errors import CoalisureError, ConfigError, EmptyCoreError
-from .game import GameSpec, enumerate_subcoalitions
+from .game import GameSpec
 from .sampling import DistributionSpec, PrivateSamples, draw_fresh, draw_private
 
 _TRIAL_TAG = 0x7B1A15
@@ -196,41 +196,42 @@ class ViolationEstimate:
     seed: int
 
 
-def _allocation_thresholds(spec: GameSpec, x: Sequence[float]) -> dict[int, float]:
-    """What the allocation pays each coalition, by coalition mask."""
+def _allocation_thresholds(spec: GameSpec, x: Sequence[float]) -> np.ndarray:
+    """What the allocation pays each coalition of ``spec``, in row order."""
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.n_agents,):
         raise CoalisureError("allocation length does not match the agent count")
-    return {c.mask: float(x[list(c.members)].sum()) for c in enumerate_subcoalitions(spec)}
+    return spec.payoffs(x)
 
 
-def _core_thresholds(core: scenario_core.ScenarioCoreDesc) -> dict[int, float]:
-    """Each coalition's minimum payoff over the core, by coalition mask."""
+def _core_thresholds(spec: GameSpec, core: scenario_core.ScenarioCoreDesc) -> np.ndarray:
+    """Each coalition's minimum payoff over the core, in ``spec``'s row order."""
     try:
-        return {c.mask: scenario_core.coalition_min(core, c) for c in core.coalitions()}
+        return np.array([scenario_core.coalition_min(core, c) for c in spec.coalitions])
     except EmptyCoreError as exc:
         raise EmptyCoreError("core instability is undefined for an empty core") from exc
 
 
 def estimate_violations(
     spec: GameSpec,
-    thresholds: Sequence[dict[int, float]],
+    thresholds: Sequence[np.ndarray],
     dist: DistributionSpec,
     n: int,
     seed: int,
 ) -> list[ViolationEstimate]:
-    """For each threshold map: the fraction of ``n`` fresh draws under which
-    some coalition's value strictly exceeds its threshold.
+    """For each threshold array (one entry per coalition of ``spec``, in row
+    order): the fraction of ``n`` fresh draws under which some coalition's
+    value strictly exceeds its threshold.
 
     All maps share one fresh draw and one evaluation of every coalition's
     values; no values are kept beyond the coalition being compared.
     """
     fresh = draw_fresh(dist, n, seed)
     flags = [np.zeros(fresh.shape[0], dtype=bool) for _ in thresholds]
-    for coalition in enumerate_subcoalitions(spec):
+    for row, coalition in enumerate(spec.coalitions):
         vals = spec.value_model.value_batch(coalition, fresh)
         for hit, lims in zip(flags, thresholds):
-            hit |= vals > lims[coalition.mask]
+            hit |= vals > lims[row]
     out = []
     for hit in flags:
         hits = int(hit.sum())
@@ -260,7 +261,7 @@ def estimate_core_instability(
     coalition's minimum payoff over the core, so the per-sample cost after
     the LP precomputation is one affine evaluation per coalition.
     """
-    return estimate_violations(spec, [_core_thresholds(core)], dist, n, seed)[0]
+    return estimate_violations(spec, [_core_thresholds(spec, core)], dist, n, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -389,7 +390,7 @@ def trial_results(configs: Sequence[CoverageConfig], trial: int) -> list[TrialRe
     except CoalisureError as exc:
         return [TrialResult(trial, master_seed, fresh_seed, error=_error(exc)) for _ in configs]
     outcomes: list[risk.RiskCertificate | str] = []
-    thresholds: dict[str, dict[int, float]] = {}  # point path -> thresholds
+    thresholds: dict[str, np.ndarray] = {}  # point path -> thresholds
     for cfg in configs:
         method = METHODS[cfg.method]
         try:
@@ -397,7 +398,7 @@ def trial_results(configs: Sequence[CoverageConfig], trial: int) -> list[TrialRe
             cert = certify(cfg.method, cfg, sampled, master_seed)
             if method.point not in thresholds:
                 thresholds[method.point] = (
-                    _core_thresholds(point)
+                    _core_thresholds(config.spec, point)
                     if method.point == "core"
                     else _allocation_thresholds(config.spec, point)
                 )

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import lp, scenario_core
 from .errors import CoalisureError, GameSpecError, LpError
-from .game import Coalition, GameSpec, enumerate_subcoalitions
+from .game import GameSpec
 from .risk import (
     METHOD_RELAXED_ALLOCATION,
     BetaSplit,
@@ -69,36 +69,22 @@ class ZetaSolution:
         }
 
 
-def _coalition_index(allowed) -> tuple[list[list[int]], list[np.ndarray]]:
-    """The members of every coalition some agent is allowed, and per agent
-    the position of each of its allowed coalitions in that list."""
-    masks = sorted({c.mask for cs in allowed for c in cs})
-    where = {mask: j for j, mask in enumerate(masks)}
-    members = [list(Coalition(mask).members) for mask in masks]
-    return members, [np.array([where[c.mask] for c in cs], dtype=np.intp) for cs in allowed]
+def _gaps(spec: GameSpec, values, x) -> list[np.ndarray]:
+    """u_S(xi_i^(k)) - x(S) for every agent i, sample k and allowed S, each
+    x(S) summed once."""
+    payoff = spec.payoffs(x)
+    return [vals - payoff[spec.allowed_rows(agent)] for agent, vals in enumerate(values)]
 
 
-def _gaps(values, index, x) -> list[np.ndarray]:
-    """u_S(xi_i^(k)) - x(S) for every agent i, sample k and allowed S;
-    ``index`` is :func:`_coalition_index` of the allowed structure, so each
-    x(S) is summed once."""
-    members, positions = index
-    payoff = np.array([x[m].sum() for m in members])
-    return [vals - payoff[pos] for vals, pos in zip(values, positions)]
-
-
-def _binding_rows(spec: GameSpec, values, allowed) -> list[tuple[int, int, int]]:
-    """Seed rows (agent, sample, coalition position): per coalition and
-    member, the lowest maximizing sample, in coalition-major order (the row
-    order is part of the program HiGHS solves)."""
+def _binding_rows(spec: GameSpec, values) -> list[tuple[int, int, int]]:
+    """Seed rows (agent, sample, position in ``allowed(agent)``): per
+    coalition and member, the lowest maximizing sample, coalition-major and
+    then by ascending member (the row order is part of the program HiGHS
+    solves)."""
     first = [scenario_core.column_maxima(vals)[1] for vals in values]
-    position = [{c.mask: pos for pos, c in enumerate(cs)} for cs in allowed]
-    rows = []
-    for coalition in enumerate_subcoalitions(spec):
-        for agent in coalition.members:
-            pos = position[agent][coalition.mask]
-            rows.append((agent, int(first[agent][pos]), pos))
-    return rows
+    coalition, agent = np.nonzero(spec.incidence)  # row-major: coalition-major
+    position = (np.cumsum(spec.incidence, axis=0) - 1)[coalition, agent].astype(np.intp)
+    return [(a, int(first[a][pos]), pos) for a, pos in zip(agent.tolist(), position.tolist())]
 
 
 def solve_zeta_program(spec: GameSpec, samples: PrivateSamples) -> ZetaSolution:
@@ -112,13 +98,11 @@ def solve_zeta_program(spec: GameSpec, samples: PrivateSamples) -> ZetaSolution:
     """
     n = spec.n_agents
     values = scenario_core.value_table(spec, samples)
-    allowed = [spec.allowed(agent) for agent in range(n)]
     counts = samples.counts
     total_k = sum(counts)
     zeta_offset = np.concatenate([[0], np.cumsum(counts)])[:-1]
     n_vars = n + total_k
-    index = _coalition_index(allowed)
-    seed_rows = _binding_rows(spec, values, allowed)
+    seed_rows = _binding_rows(spec, values)
     seen = set(seed_rows)
 
     lower = np.concatenate([np.full(n, -np.inf), np.zeros(total_k)])
@@ -128,8 +112,7 @@ def solve_zeta_program(spec: GameSpec, samples: PrivateSamples) -> ZetaSolution:
         a = np.zeros((len(rows), n_vars))
         b = np.empty(len(rows))
         for r, (agent, k, pos) in enumerate(rows):
-            for member in allowed[agent][pos].members:
-                a[r, member] = 1.0
+            a[r, :n] = spec.incidence[spec.allowed_rows(agent)[pos]]
             a[r, n + zeta_offset[agent] + k] = 1.0
             b[r] = values[agent][k, pos]
         return a, b
@@ -137,7 +120,7 @@ def solve_zeta_program(spec: GameSpec, samples: PrivateSamples) -> ZetaSolution:
     def violated(x):
         """The rows (agent, sample, coalition) that ``x`` violates and the program lacks, or None."""
         added = []
-        for agent, gaps in enumerate(_gaps(values, index, x[:n])):
+        for agent, gaps in enumerate(_gaps(spec, values, x[:n])):
             zv = x[n + zeta_offset[agent] : n + zeta_offset[agent] + counts[agent]]
             worst = gaps.max(axis=1, initial=-np.inf) - zv
             for k in np.flatnonzero(worst > lp.TOL):
@@ -161,7 +144,7 @@ def solve_zeta_program(spec: GameSpec, samples: PrivateSamples) -> ZetaSolution:
     x = out.x[:n]
 
     # the pointwise minimal slacks for x: max(0, u - x(S)) per sample
-    zeta = tuple(np.maximum(0.0, g.max(axis=1, initial=-np.inf)) for g in _gaps(values, index, x))
+    zeta = tuple(np.maximum(0.0, g.max(axis=1, initial=-np.inf)) for g in _gaps(spec, values, x))
     s_star, s_sens = complexity_counts_from_slacks(zeta)
     return ZetaSolution(
         x_star=x.copy(),
@@ -216,7 +199,7 @@ def zeta_membership(
     bounds: TightenedBounds,
     zeta_bar: tuple[float, ...] | list[float],
     x,
-    tol: float = 1e-9,
+    tol: float = lp.TOL,
 ) -> bool:
     """Membership in the relaxed core with per-agent relaxations.
 
@@ -229,13 +212,9 @@ def zeta_membership(
         raise GameSpecError("allocation length does not match the agent count")
     if any(z < 0 for z in zeta_bar):
         raise CoalisureError("relaxations must be nonnegative")
+    if bounds.coalitions != spec.coalitions:
+        raise GameSpecError("the bounds do not have one row per coalition of the game")
     if abs(x.sum() - spec.grand_value) > tol:
         return False
-    for coalition in enumerate_subcoalitions(spec):
-        entry = bounds.entries[coalition.mask]
-        relaxed = max(
-            entry.per_agent[a] - zeta_bar[a] for a in entry.per_agent
-        )
-        if x[list(coalition.members)].sum() < relaxed - tol:
-            return False
-    return True
+    relaxed = (bounds.maxima - np.asarray(zeta_bar, dtype=float)).max(axis=1)
+    return not (spec.payoffs(x) < relaxed - tol).any()

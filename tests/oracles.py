@@ -27,7 +27,7 @@ from scipy.special import betainc, logsumexp
 
 from coalisure import compression, lp, scenario_core, validation, zeta_core
 from coalisure.errors import CoalisureError, EmptyCoreError, GuardError
-from coalisure.game import Coalition, GameSpec, ValueModel, enumerate_subcoalitions
+from coalisure.game import Coalition, GameSpec, ValueModel
 from coalisure.risk import _PolyTerms, log_binom
 from coalisure.sampling import _FRESH_TAG, PrivateSamples, draw_fresh, draw_private
 from coalisure.scenario_core import _VERTEX_DEDUP_TOL
@@ -36,6 +36,18 @@ LOOP_VERTEX_GUARD_AGENTS = 6  # one solve per subset: 6,471,002 of them at N=6
 
 
 # --- instance generators -----------------------------------------------------
+
+def bounds_from_values(values) -> scenario_core.TightenedBounds:
+    """Bounds with the given values ({coalition: value}) and placeholder
+    witnesses: each value is held by the coalition's lowest member, at
+    sample 0, and the matrices reach up to the highest agent named."""
+    coalitions = tuple(sorted(values))
+    shape = (len(coalitions), max((c.mask.bit_length() for c in coalitions), default=1))
+    maxima, argmax = np.full(shape, -np.inf), np.full(shape, -1, dtype=np.intp)
+    for r, c in enumerate(coalitions):
+        maxima[r, c.members[0]], argmax[r, c.members[0]] = values[c], 0
+    return scenario_core.TightenedBounds(coalitions, maxima, argmax)
+
 
 def random_affine_game(rng: np.random.Generator, n_agents=3, dim=2, regime="nonempty"):
     """A random game with uniform-box uncertainty on [0,1]^dim.
@@ -411,20 +423,21 @@ def per_method_trial(config, trial):
 BRUTE_FORCE_GUARD = 12
 
 
-def _same_core_set(spec: GameSpec, full: scenario_core.TightenedBounds, rebuilt: dict[int, float]) -> bool:
+def _same_core_set(spec: GameSpec, full: scenario_core.TightenedBounds, rebuilt: np.ndarray) -> bool:
     """Set equality of the two cores (rebuilt bounds are never larger).
 
     The rebuilt core contains the full one, so equality reduces to: for
     every coalition, the rebuilt core cannot pay the coalition less than
-    the full bound.  Checked by one LP minimum per coalition.
+    the full bound.  Checked by one LP minimum per coalition.  ``rebuilt``
+    holds one bound per coalition of ``spec``, in row order.
     """
-    coalitions = enumerate_subcoalitions(spec)
-    if all(rebuilt[c.mask] == full.value(c) for c in coalitions):
+    coalitions = spec.coalitions
+    if all(rebuilt[j] == full.value(c) for j, c in enumerate(coalitions)):
         return True
     n = spec.n_agents
-    finite = [c for c in coalitions if np.isfinite(rebuilt[c.mask])]
-    a = np.array([c.indicator(n) for c in finite]) if finite else None
-    b = np.array([rebuilt[c.mask] for c in finite]) if finite else None
+    finite = [j for j, v in enumerate(rebuilt) if np.isfinite(v)]
+    a = np.array([coalitions[j].indicator(n) for j in finite]) if finite else None
+    b = np.array([rebuilt[j] for j in finite]) if finite else None
     probe = lp.LinearProgram.build(
         np.zeros(n), a_eq=[np.ones(n)], b_eq=[spec.grand_value], a_ge=a, b_ge=b
     )
@@ -434,8 +447,8 @@ def _same_core_set(spec: GameSpec, full: scenario_core.TightenedBounds, rebuilt:
     full_empty = scenario_core.is_empty(scenario_core.build(spec, full))
     if full_empty:
         return False  # rebuilt nonempty, full empty
-    for c in coalitions:
-        if rebuilt[c.mask] == full.value(c):
+    for j, c in enumerate(coalitions):
+        if rebuilt[j] == full.value(c):
             continue
         out = lp.solve(
             lp.LinearProgram.build(
@@ -454,7 +467,7 @@ def _witness_sets(spec: GameSpec, samples: PrivateSamples, values, full):
     bound.  Any polytope-preserving subset must hit every one of these sets:
     dropping a non-redundant bound strictly enlarges the core."""
     n = spec.n_agents
-    coalitions = enumerate_subcoalitions(spec)
+    coalitions = spec.coalitions
     a_rows = {c.mask: c.indicator(n) for c in coalitions}
     needed = []
     for c in coalitions:
@@ -609,8 +622,7 @@ def cold_zeta_program(spec, samples):
     total_k = sum(counts)
     offset = np.concatenate([[0], np.cumsum(counts)])[:-1]
     n_vars = n + total_k
-    index = zeta_core._coalition_index(allowed)
-    active = zeta_core._binding_rows(spec, values, allowed)
+    active = zeta_core._binding_rows(spec, values)
     seen = set(active)
     lower = np.concatenate([np.full(n, -np.inf), np.zeros(total_k)])
     objective = np.concatenate([np.zeros(n), np.ones(total_k)])
@@ -637,7 +649,7 @@ def cold_zeta_program(spec, samples):
             )
             assert out.status == lp.OPTIMAL
             added = False
-            for agent, gaps in enumerate(zeta_core._gaps(values, index, out.x[:n])):
+            for agent, gaps in enumerate(zeta_core._gaps(spec, values, out.x[:n])):
                 zv = out.x[n + offset[agent] : n + offset[agent] + counts[agent]]
                 worst = gaps.max(axis=1, initial=-np.inf) - zv
                 for k in np.flatnonzero(worst > lp.TOL):
@@ -661,6 +673,6 @@ def cold_zeta_program(spec, samples):
         extra_a.append(cap)
         extra_b.append(np.array([-(out.objective + lp.TOL)]))
     x = out.x[:n]
-    zeta = tuple(np.maximum(0.0, g.max(axis=1, initial=-np.inf)) for g in zeta_core._gaps(values, index, x))
+    zeta = tuple(np.maximum(0.0, g.max(axis=1, initial=-np.inf)) for g in zeta_core._gaps(spec, values, x))
     s_star, s_sens = zeta_core.complexity_counts_from_slacks(zeta)
     return x, zeta, float(sum(z.sum() for z in zeta)), s_star, s_sens

@@ -6,7 +6,6 @@ from coalisure.game import (
     Coalition,
     GameSpec,
     ValueModel,
-    enumerate_subcoalitions,
     subcoalition_budget,
 )
 
@@ -53,24 +52,24 @@ class TestCoalition:
 class TestEnumeration:
     def test_two_agents_default(self):
         spec = make_spec(2)
-        assert [c.label() for c in enumerate_subcoalitions(spec)] == ["1", "2"]
+        assert [c.label() for c in spec.coalitions] == ["1", "2"]
 
     def test_three_agents_default_count(self):
-        assert len(enumerate_subcoalitions(make_spec(3))) == 6
+        assert len(make_spec(3).coalitions) == 6
 
     def test_singleton_restriction(self):
         spec = make_spec(3, coalitions=tuple(Coalition.of(i) for i in range(3)))
-        assert [c.label() for c in enumerate_subcoalitions(spec)] == ["1", "2", "3"]
+        assert [c.label() for c in spec.coalitions] == ["1", "2", "3"]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_default_count_formula(self, n):
-        cs = enumerate_subcoalitions(make_spec(n))
+        cs = make_spec(n).coalitions
         assert len(cs) == 2**n - 2
         full = (1 << n) - 1
         assert all(0 < c.mask < full for c in cs)
 
     def test_ascending_mask_order(self):
-        masks = [c.mask for c in enumerate_subcoalitions(make_spec(4))]
+        masks = [c.mask for c in make_spec(4).coalitions]
         assert masks == sorted(masks)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6])
@@ -125,7 +124,7 @@ class TestGameSpecValidation:
 
     def test_allowed_views_symmetric(self):
         spec = make_spec(3)
-        for c in enumerate_subcoalitions(spec):
+        for c in spec.coalitions:
             for agent in c.members:
                 assert c in spec.allowed(agent)
 
@@ -147,5 +146,5 @@ class TestGameSpecValidation:
         back = GameSpec.from_json_dict(doc)
         assert back.to_json_dict() == doc
         xi = [0.3, -0.7]
-        for c in enumerate_subcoalitions(spec):
+        for c in spec.coalitions:
             assert back.value_model.value(c, xi) == spec.value_model.value(c, xi)

@@ -3,10 +3,10 @@ import pytest
 
 from coalisure import scenario_core as sc
 from coalisure.errors import EmptyCoreError, GuardError
-from coalisure.game import Coalition, GameSpec, ValueModel, enumerate_subcoalitions
+from coalisure.game import Coalition, GameSpec, ValueModel
 from coalisure.sampling import DistributionSpec, PrivateSamples, draw_private
 
-from oracles import brute_tighten, grid_core_empty, random_affine_game, rational_core_vertices
+from oracles import bounds_from_values, brute_tighten, grid_core_empty, random_affine_game, rational_core_vertices
 
 C1, C2, C3 = Coalition.of(0), Coalition.of(1), Coalition.of(2)
 UNIT2 = DistributionSpec.uniform([0.0, 0.0], [1.0, 1.0])
@@ -15,7 +15,7 @@ UNIT2 = DistributionSpec.uniform([0.0, 0.0], [1.0, 1.0])
 def two_agent_core(u=10.0, b1=5.0, b2=3.0):
     model = ValueModel.affine(1, {C1: (0.0, [1.0]), C2: (0.0, [0.0])})
     spec = GameSpec(2, u, model)
-    return spec, sc.build(spec, sc.bounds_from_values({C1: b1, C2: b2}))
+    return spec, sc.build(spec, bounds_from_values({C1: b1, C2: b2}))
 
 
 def manual_samples(rows, dim=1):
@@ -91,10 +91,10 @@ class TestTighten:
         spec = random_affine_game(rng)
         samples = draw_private(UNIT2, (5, 5, 5), 10)
         tb = sc.tighten(spec, samples)
-        for c in spec.coalitions:
-            entry = tb.entries[c.mask]
-            assert set(entry.per_agent) == set(c.members)
-            assert max(entry.per_agent.values()) == entry.value
+        for row, c in enumerate(spec.coalitions):
+            per_agent = tb.maxima[row]
+            assert set(np.flatnonzero(np.isfinite(per_agent))) == set(c.members)
+            assert max(per_agent[list(c.members)]) == tb.value(c)
 
 
 class TestMembership:
@@ -179,7 +179,7 @@ class TestCoalitionMin:
         pair = Coalition.of(0, 1)
         model = ValueModel.affine(1, {pair: (0.0, [1.0])})
         spec = GameSpec(3, 10.0, model, coalitions=(pair,))
-        core = sc.build(spec, sc.bounds_from_values({pair: 4.0}))
+        core = sc.build(spec, bounds_from_values({pair: 4.0}))
         assert sc.coalition_min(core, C1) == -np.inf
         assert sc.coalition_min(core, pair) == pytest.approx(4.0, abs=1e-9)
 
@@ -202,7 +202,7 @@ class TestVertices:
         structure = tuple(Coalition(m) for m in range(1, 2**4 - 1) if m != 8)
         model = ValueModel.affine(1, {c: (0.0, [0.0]) for c in structure})
         spec = GameSpec(4, 10.0, model, coalitions=structure)
-        core = sc.build(spec, sc.bounds_from_values({c: 1.0 for c in spec.coalitions}))
+        core = sc.build(spec, bounds_from_values({c: 1.0 for c in spec.coalitions}))
         monkeypatch.setattr(sc, "VERTEX_SUBSET_LIMIT", 286)
         assert len(sc.vertices(core)) == 5
         monkeypatch.setattr(sc, "VERTEX_SUBSET_LIMIT", 285)

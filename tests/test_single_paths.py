@@ -82,7 +82,7 @@ class TestTiesPickTheLowestSample:
     def test_zeta_seed_rows(self):
         spec, samples = tied_game()
         allowed = [spec.allowed(a) for a in range(spec.n_agents)]
-        rows = zc._binding_rows(spec, sc.value_table(spec, samples), allowed)
+        rows = zc._binding_rows(spec, sc.value_table(spec, samples))
         expected = []
         for c in spec.coalitions:
             for agent in c.members:
@@ -90,6 +90,21 @@ class TestTiesPickTheLowestSample:
                 if row not in expected:
                     expected.append(row)
         assert rows == expected
+
+    def test_tighten_matrices(self):
+        spec, samples = tied_game()
+        tb = sc.tighten(spec, samples)
+        assert tb.coalitions == spec.coalitions
+        assert tb.maxima.shape == tb.argmax.shape == (len(spec.coalitions), spec.n_agents)
+        for row, c in enumerate(spec.coalitions):
+            for agent in range(spec.n_agents):
+                if agent in c:
+                    vals = [spec.value_model.value(c, xi) for xi in samples.per_agent[agent]]
+                    assert tb.maxima[row, agent] == max(vals)
+                    assert tb.argmax[row, agent] == loop_first_argmax(spec, samples, agent, c)
+                else:
+                    assert tb.maxima[row, agent] == -np.inf and tb.argmax[row, agent] == -1
+            assert tb.witness(c) == loop_witness(spec, samples, c)
 
     def test_column_maxima(self):
         values = np.array([[1.0, 2.0, 0.0], [3.0, 2.0, 0.0], [3.0, 1.0, 0.0]])

@@ -6,7 +6,7 @@ from coalisure.errors import ConfigError, EmptyCoreError
 from coalisure.game import Coalition, GameSpec, ValueModel
 from coalisure.sampling import DistributionSpec, draw_fresh
 
-from oracles import random_affine_game
+from oracles import bounds_from_values, random_affine_game
 
 C1, C2, C3 = Coalition.of(0), Coalition.of(1), Coalition.of(2)
 UNIT1 = DistributionSpec.uniform([0.0], [1.0])
@@ -54,20 +54,20 @@ class TestCoreEstimator:
     def test_single_point_core_equals_allocation_estimate(self):
         spec = halfline_game()
         # bounds pin the unique point (1, 9)
-        core = sc.build(spec, sc.bounds_from_values({C1: 1.0, C2: 9.0}))
+        core = sc.build(spec, bounds_from_values({C1: 1.0, C2: 9.0}))
         a = val.estimate_core_instability(spec, core, UNIT1, 20_000, 5)
         b = val.estimate_allocation_instability(spec, [1.0, 9.0], UNIT1, 20_000, 5)
         assert a.p_hat == b.p_hat
 
     def test_saturated_bounds_never_violated(self):
         spec = halfline_game()
-        core = sc.build(spec, sc.bounds_from_values({C1: 1.0, C2: -10.0}))
+        core = sc.build(spec, bounds_from_values({C1: 1.0, C2: -10.0}))
         est = val.estimate_core_instability(spec, core, UNIT1, 10_000, 7)
         assert est.p_hat == 0.0
 
     def test_empty_core_rejected(self):
         spec = halfline_game()
-        core = sc.build(spec, sc.bounds_from_values({C1: 9.0, C2: 9.0}))
+        core = sc.build(spec, bounds_from_values({C1: 9.0, C2: 9.0}))
         with pytest.raises(EmptyCoreError):
             val.estimate_core_instability(spec, core, UNIT1, 100, 1)
 

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from oracles import loop_core_vertices, random_affine_game
+from oracles import bounds_from_values, loop_core_vertices, random_affine_game
 
 from coalisure import scenario_core as sc
 from coalisure.game import Coalition, GameSpec, ValueModel
@@ -28,7 +28,7 @@ def all_coalitions_core(n, bounds, grand):
     """A core over every proper coalition of ``n`` agents with given bounds."""
     model = ValueModel.affine(1, {Coalition(m): (0.0, [0.0]) for m in range(1, 2**n - 1)})
     spec = GameSpec(n, float(grand), model)
-    return spec, sc.build(spec, sc.bounds_from_values(bounds(spec.coalitions)))
+    return spec, sc.build(spec, bounds_from_values(bounds(spec.coalitions)))
 
 
 def random_full_game(rng, n, slack):
@@ -85,7 +85,7 @@ def test_near_feasible_points_are_dropped():
     bounds = {Coalition.of(i): 1.0 for i in range(3)} | {pair: 2.0 + 5e-8}
     model = ValueModel.affine(1, {c: (0.0, [0.0]) for c in bounds})
     spec = GameSpec(3, 4.0, model, coalitions=tuple(bounds))
-    verts = assert_same_vertices(sc.build(spec, sc.bounds_from_values(bounds)))
+    verts = assert_same_vertices(sc.build(spec, bounds_from_values(bounds)))
     assert len(verts) == 3
     assert all(v[0] + v[1] >= 2.0 + 5e-8 - 1e-9 for v in verts)
 

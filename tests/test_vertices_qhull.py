@@ -15,7 +15,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from oracles import loop_basic_points, support_gaps
+from oracles import bounds_from_values, loop_basic_points, support_gaps
 from scipy.spatial import QhullError
 from test_run_all_guard import affine_config
 from test_vertices_batched import UNIT2, all_coalitions_core, assert_same_vertices, random_full_game
@@ -187,7 +187,7 @@ def test_degenerate_core_is_guarded(monkeypatch):
     candidates are 7 * C(63, 6) subsets, refused before any is solved."""
     model = ValueModel.affine(1, {Coalition(m): (0.0, [0.0]) for m in range(1, 2**7 - 1)})
     spec = GameSpec(7, 100.0, model)
-    core = sc.build(spec, sc.bounds_from_values({c: 0.0 for c in spec.coalitions}))
+    core = sc.build(spec, bounds_from_values({c: 0.0 for c in spec.coalitions}))
     monkeypatch.setattr(sc, "_basic_points", None)
     with pytest.raises(GuardError, match=f"solve 475618647 .*the limit is {sc.VERTEX_SUBSET_LIMIT}"):
         sc.vertices(core)
@@ -198,7 +198,7 @@ def test_qhull_is_capped_by_agent_count(monkeypatch):
     full 9-agent core is refused before any LP, Qhull call or solve."""
     model = ValueModel.affine(1, {Coalition(m): (0.0, [0.0]) for m in range(1, 2**9 - 1)})
     spec = GameSpec(9, 100.0, model)
-    core = sc.build(spec, sc.bounds_from_values({c: 0.0 for c in spec.coalitions}))
+    core = sc.build(spec, bounds_from_values({c: 0.0 for c in spec.coalitions}))
     for name in ("HalfspaceIntersection", "_basic_points"):
         monkeypatch.setattr(sc, name, None)
     monkeypatch.setattr(lp, "solve", None)
@@ -213,7 +213,7 @@ def test_convex_seven_agent_core(monkeypatch):
     point keeps, on the same candidate subsets."""
     model = ValueModel.affine(1, {Coalition(m): (0.0, [0.0]) for m in range(1, 2**7 - 1)})
     spec = GameSpec(7, 49.0, model)
-    core = sc.build(spec, sc.bounds_from_values({c: float(len(c.members) ** 2) for c in spec.coalitions}))
+    core = sc.build(spec, bounds_from_values({c: float(len(c.members) ** 2) for c in spec.coalitions}))
     streams = []
     solve = sc._basic_points
 
