@@ -12,6 +12,15 @@ path (``addRows``): first ``[A_eq; A_ge]``, equality rows bounded to
 Options: ``output_flag=False``, ``threads=1`` and primal and dual
 feasibility tolerances of ``TOL = 1e-9``.
 
+A model keeps its rows as the triplets it hands to HiGHS (:class:`Rows`:
+row, column and value arrays, row-major, ascending column within a row),
+never as a dense matrix.  The zeta program has N + sum K_i columns and at
+most N+1 nonzeros per row, and row generation appends a block every
+round; each block costs one concatenate of its nonzeros.  Dense input (a
+:class:`LinearProgram` built from matrices, a lexicographic cap) becomes
+triplets in one place, :meth:`Rows.of`; a caller that builds triplets,
+such as the zeta program, passes :class:`Rows` directly.
+
 One constraint system is one model.  A family of programs over it (a
 coalition's minimum under each cost, one pinned row per compression
 program, cap rows appended by a lexicographic selection or violated rows
@@ -42,7 +51,9 @@ Model status ``kOptimal``, ``kInfeasible`` and ``kUnbounded`` map to
 by re-solving with a zero objective: a feasible point means unbounded.  An
 optimal point must pass the residual check: no constraint or bound may be
 violated by more than ``1e2 * TOL``, and a pinned row counts as an
-equality.  A re-solve that ends with any other status or fails the
+equality.  Row activities come from a sparse product over the triplets
+(``np.bincount`` of ``val * x[col]`` by row), so every row's slack is
+reported.  A re-solve that ends with any other status or fails the
 residual check is solved once more from scratch in the same model
 (``clearSolver``); only if that fails too, or if the model's first (cold)
 solve fails, does ``LpNumericalError`` follow.
@@ -96,7 +107,49 @@ _OPTIONS = _options()  # read-only after import; passOptions copies it
 _PRIMAL_SIMPLEX = 4  # HiGHS simplex_strategy value for the primal simplex
 
 
-def _as_matrix(a, n_cols: int, name: str) -> np.ndarray:
+@dataclass(frozen=True)
+class Rows:
+    """A ``shape[0] x shape[1]`` constraint matrix as row-wise triplets:
+    ``a[row[j], col[j]] = val[j]``, ordered by row and then by column, the
+    order HiGHS receives them in."""
+
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def of(cls, a: "np.ndarray | Rows") -> "Rows":
+        """The nonzeros of a dense matrix; :class:`Rows` come back as they are."""
+        if isinstance(a, Rows):
+            return a
+        rows, cols = np.nonzero(a)  # sorted by row, then column
+        return cls(rows, cols.astype(np.int32), a[rows, cols], a.shape)
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.row, weights=self.val * x[self.col], minlength=self.shape[0])
+
+    def stack(self, below: "Rows") -> "Rows":
+        """These rows, then the rows of ``below``."""
+        return Rows(
+            np.concatenate([self.row, below.row + self.shape[0]]),
+            np.concatenate([self.col, below.col]),
+            np.concatenate([self.val, below.val]),
+            (self.shape[0] + below.shape[0], self.shape[1]),
+        )
+
+
+def _as_rows(a, n_cols: int, name: str) -> np.ndarray | Rows:
+    """``a`` as a dense matrix with ``n_cols`` columns, or as checked
+    :class:`Rows`."""
+    if isinstance(a, Rows):
+        row, col = a.row, a.col
+        if a.shape[1] != n_cols or not row.size == col.size == a.val.size:
+            raise LpError(f"{name} must be triplets over {n_cols} columns")
+        inside = not row.size or (min(row[0], col.min()) >= 0 and row[-1] < a.shape[0] and col.max() < n_cols)
+        if not inside or (np.diff(row) < 0).any():
+            raise LpError(f"{name} triplets must be sorted by row and lie inside shape {a.shape}")
+        return a
     if a is None:
         return np.zeros((0, n_cols))
     a = np.asarray(a, dtype=float)
@@ -110,13 +163,14 @@ class LinearProgram:
     """min c.x  s.t.  A_eq x = b_eq,  A_ge x >= b_ge,  x >= lower_bounds.
 
     ``lower_bounds`` may be None (all variables free) or a vector mixing
-    finite bounds with ``-inf`` for free variables.
+    finite bounds with ``-inf`` for free variables.  ``a_eq`` and ``a_ge``
+    are dense matrices or :class:`Rows`.
     """
 
     objective: np.ndarray
-    a_eq: np.ndarray
+    a_eq: np.ndarray | Rows
     b_eq: np.ndarray
-    a_ge: np.ndarray
+    a_ge: np.ndarray | Rows
     b_ge: np.ndarray
     lower_bounds: np.ndarray | None = None
 
@@ -134,8 +188,8 @@ class LinearProgram:
         if c.ndim != 1:
             raise LpError("objective must be a vector")
         n = c.size
-        a_eq = _as_matrix(a_eq, n, "a_eq")
-        a_ge = _as_matrix(a_ge, n, "a_ge")
+        a_eq = _as_rows(a_eq, n, "a_eq")
+        a_ge = _as_rows(a_ge, n, "a_ge")
         b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
         b_ge = np.zeros(0) if b_ge is None else np.asarray(b_ge, dtype=float).ravel()
         if a_eq.shape[0] != b_eq.size or a_ge.shape[0] != b_ge.size:
@@ -147,6 +201,7 @@ class LinearProgram:
             if np.isposinf(lower_bounds).any() or np.isnan(lower_bounds).any():
                 raise LpError("lower bounds must be finite or -inf")
         for arr, name in ((c, "objective"), (a_eq, "a_eq"), (a_ge, "a_ge"), (b_eq, "b_eq"), (b_ge, "b_ge")):
+            arr = arr.val if isinstance(arr, Rows) else arr
             if arr.size and not np.isfinite(arr).all():
                 raise LpError(f"non-finite entries in {name}")
         return cls(c, a_eq, b_eq, a_ge, b_ge, lower_bounds)
@@ -179,12 +234,13 @@ class Model:
     (:meth:`pinned`), after ``>=`` rows are appended (:meth:`add_rows`) and
     through a sequence of capped costs (:meth:`lexmin`); each re-solve
     starts from the basis the previous one left.  ``program``
-    is the current system, so outcomes report slacks for every row.  A
-    model is not shared between threads.
+    is the current system, its rows held as the :class:`Rows` HiGHS was
+    given, so outcomes report slacks for every row.  A model is not shared
+    between threads.
     """
 
     def __init__(self, program: LinearProgram):
-        self.program = p = program
+        self.program = p = replace(program, a_eq=Rows.of(program.a_eq), a_ge=Rows.of(program.a_ge))
         self._solved = False
         self._simplex = _OPTIONS.simplex_strategy
         self._highs = _highs._Highs()
@@ -194,7 +250,7 @@ class Model:
         self._set_cost(p.objective)
         # equality rows first, so >= row i sits at index b_eq.size + i (see pinned)
         upper = np.concatenate([p.b_eq, np.full(p.b_ge.size, np.inf)])
-        self._add_rows(np.vstack([p.a_eq, p.a_ge]), np.concatenate([p.b_eq, p.b_ge]), upper)
+        self._add_rows(p.a_eq.stack(p.a_ge), np.concatenate([p.b_eq, p.b_ge]), upper)
 
     def minimize(self, cost=None) -> LpOutcome:
         """Minimize ``cost`` (default: the current cost) over the system."""
@@ -215,8 +271,9 @@ class Model:
     def lexmin(self, costs, violated: Callable[[np.ndarray], tuple] | None = None) -> LpOutcome:
         """Minimize each row of ``costs`` in turn, capping each optimum at
         +``TOL`` before the next; while ``violated(x)`` returns rows ``(a,
-        b)`` at an optimal ``x``, append ``a x >= b`` and re-solve.  The
-        first outcome that is not optimal comes back at once."""
+        b)`` (``a`` dense or :class:`Rows`) at an optimal ``x``, append ``a x
+        >= b`` and re-solve.  The first outcome that is not optimal comes
+        back at once."""
         costs = np.asarray(costs, dtype=float)
         for j, cost in enumerate(costs):
             out = self.minimize(cost)
@@ -228,19 +285,20 @@ class Model:
             self.add_rows(-cost.reshape(1, -1), [-(out.objective + TOL)])
 
     def add_rows(self, a, b) -> None:
-        """Append the rows ``a x >= b``."""
+        """Append the rows ``a x >= b``; ``a`` is a dense matrix or :class:`Rows`."""
         p = self.program
-        a = _as_matrix(a, p.n_vars, "a")
+        a = Rows.of(_as_rows(a, p.n_vars, "a"))
         b = np.asarray(b, dtype=float).ravel()
+        if a.shape[0] != b.size:
+            raise LpError("constraint matrix/vector row counts disagree")
         self._add_rows(a, b, np.full(b.size, np.inf))
-        self.program = replace(p, a_ge=np.vstack([p.a_ge, a]), b_ge=np.concatenate([p.b_ge, b]))
+        self.program = replace(p, a_ge=p.a_ge.stack(a), b_ge=np.concatenate([p.b_ge, b]))
 
-    def _add_rows(self, a: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> None:
-        """Append the rows ``lower <= a x <= upper`` as row-wise triplets."""
-        rows, cols = np.nonzero(a)  # sorted by row, then column
-        starts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=lower.size))])[:-1]
-        triplets = starts.astype(np.int32), cols.astype(np.int32), a[rows, cols]
-        self._accept(self._highs.addRows(lower.size, lower, upper, rows.size, *triplets))
+    def _add_rows(self, a: Rows, lower: np.ndarray, upper: np.ndarray) -> None:
+        """Append the rows ``lower <= a x <= upper``."""
+        starts = np.concatenate([[0], np.cumsum(np.bincount(a.row, minlength=lower.size))])[:-1]
+        triplets = starts.astype(np.int32), a.col.astype(np.int32, copy=False), a.val
+        self._accept(self._highs.addRows(lower.size, lower, upper, a.val.size, *triplets))
 
     @staticmethod
     def _accept(status) -> None:
@@ -302,8 +360,8 @@ class Model:
         """The optimal outcome at ``x`` and its worst constraint or bound
         violation (a pinned row counts as an equality)."""
         p = self.program
-        slack_eq = p.a_eq @ x - p.b_eq if p.a_eq.size else np.zeros(0)
-        slack_ge = p.a_ge @ x - p.b_ge if p.a_ge.size else np.zeros(0)
+        slack_eq = p.a_eq.dot(x) - p.b_eq
+        slack_ge = p.a_ge.dot(x) - p.b_ge
         worst = float(np.abs(slack_eq).max(initial=0.0))
         worst = max(worst, float(-slack_ge.min(initial=0.0)))
         if pin is not None:

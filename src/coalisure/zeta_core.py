@@ -109,13 +109,16 @@ def solve_zeta_program(spec: GameSpec, samples: PrivateSamples) -> ZetaSolution:
     objective = np.concatenate([np.zeros(n), np.ones(total_k)])
 
     def build_rows(rows):
-        a = np.zeros((len(rows), n_vars))
-        b = np.empty(len(rows))
-        for r, (agent, k, pos) in enumerate(rows):
-            a[r, :n] = spec.incidence[spec.allowed_rows(agent)[pos]]
-            a[r, n + zeta_offset[agent] + k] = 1.0
-            b[r] = values[agent][k, pos]
-        return a, b
+        """The rows (agent, sample, position) as triplets: each row's
+        members, then its slack column, the largest in the row."""
+        agent, k, _ = np.array(rows, dtype=np.intp).reshape(-1, 3).T
+        coalition = [spec.allowed_rows(i)[p] for i, _, p in rows]
+        member_row, member_col = np.nonzero(spec.incidence[coalition])  # ascending members
+        row = np.concatenate([member_row, np.arange(len(rows))])
+        order = np.argsort(row, kind="stable")  # a row's members before its slack
+        col = np.concatenate([member_col, n + zeta_offset[agent] + k]).astype(np.int32)
+        b = np.array([values[i][s, p] for i, s, p in rows], dtype=float)
+        return lp.Rows(row[order], col[order], np.ones(row.size), (len(rows), n_vars)), b
 
     def violated(x):
         """The rows (agent, sample, coalition) that ``x`` violates and the program lacks, or None."""
@@ -123,8 +126,8 @@ def solve_zeta_program(spec: GameSpec, samples: PrivateSamples) -> ZetaSolution:
         for agent, gaps in enumerate(_gaps(spec, values, x[:n])):
             zv = x[n + zeta_offset[agent] : n + zeta_offset[agent] + counts[agent]]
             worst = gaps.max(axis=1, initial=-np.inf) - zv
-            for k in np.flatnonzero(worst > lp.TOL):
-                key = (agent, int(k), int(np.argmax(gaps[int(k)])))
+            for k in np.flatnonzero(worst > lp.TOL).tolist():
+                key = (agent, k, int(gaps[k].argmax()))
                 if key not in seen:
                     seen.add(key)
                     added.append(key)

@@ -1,4 +1,4 @@
-"""SHA-256 of every `run-all` artifact on five fixed configs.
+"""SHA-256 of every `run-all` artifact on six fixed configs.
 
 Run it on two checkouts and diff the outputs; identical output means
 byte-identical artifacts:
@@ -17,9 +17,13 @@ all six methods with 20,000 fresh draws:
 * ``n5-seed2-k60``: the ``runall-n5-k200`` seed-2 round-0 game, K=60,
   3 trials;
 * ``n5-seed1-k200``: the ``runall-n5-k200`` seed-1 round-0 game, K=200,
-  3 trials.
+  3 trials;
+* ``relaxed-n3-k200``: the ``relaxed-n3-k200`` empty-core game (grand
+  value 3.8) with its seed-11 seeds, K=200, 3 trials, whose ζ programs
+  take many rounds of row generation.
 
-The two 5-agent games come from ``perfbench/workloads.py``.  Not collected
+The 5-agent games and the empty-core game come from
+``perfbench/workloads.py``.  Not collected
 by pytest (the file name lacks the ``test_`` prefix).
 """
 
@@ -54,6 +58,10 @@ def configs() -> dict[str, dict]:
             *workloads.affine_n5_values(seed, 0), k,
             workloads.derive(seed, 1, 0), workloads.derive(seed, 2, 0), workloads.METHODS, 3,
         )
+    out["relaxed-n3-k200"] = workloads.config_doc(
+        workloads.EMPTY_CORE_VALUES, 3.8, 200,
+        workloads.derive(11, 1), workloads.derive(11, 2), workloads.METHODS, 3,
+    )
     for doc in out.values():
         doc["validation"]["n_fresh"] = FRESH
     return out

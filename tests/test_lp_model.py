@@ -3,9 +3,13 @@ pinned at equality and after rows are appended.  Each re-solve is checked
 against a fresh one-shot solve of the same program, and every status path
 of a warm answer is forced through a wrapper around the model's HiGHS
 instance.  HiGHS's own copy of a model, built and grown through the one
-row path, is read back against ``model.program``, and no other module
-imports the bindings.  ``lexmin`` caps each cost's optimum before the next
-and runs row generation through a callback; only ``lp.py`` appends rows."""
+row path, and the model's own row triplets (``model.program``) are read
+back against the test's record of what it built and appended; a block
+appended as ``lp.Rows`` and the same block appended dense give HiGHS the
+same model and the same bits.  The sparse residual check rejects a
+perturbed answer, and no other module imports the bindings.  ``lexmin``
+caps each cost's optimum before the next and runs row generation through
+a callback; only ``lp.py`` appends rows."""
 
 import ast
 from dataclasses import replace
@@ -16,7 +20,7 @@ import pytest
 
 from coalisure import lp
 from coalisure import scenario_core as sc
-from coalisure.errors import LpNumericalError
+from coalisure.errors import LpError, LpNumericalError
 from coalisure.game import GameSpec
 from coalisure.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, Model, solve
 from coalisure.sampling import DistributionSpec, draw_private
@@ -145,11 +149,23 @@ def highs_copy(model):
     return dense, got.row_lower_, got.row_upper_, got.col_lower_, got.col_upper_, got.col_cost_
 
 
+def dense(a):
+    """A matrix held dense or as ``lp.Rows``, dense; the triplets must be
+    row-major with ascending columns and no repeated entry."""
+    if not isinstance(a, lp.Rows):
+        return a
+    assert np.array_equal(np.lexsort((a.col, a.row)), np.arange(a.row.size))
+    assert not ((np.diff(a.row) == 0) & (np.diff(a.col) == 0)).any()
+    out = np.zeros(a.shape)
+    out[a.row, a.col] = a.val
+    return out
+
+
 def dense_program(prog):
-    """The same five arrays and costs, as ``model.program`` says they are."""
+    """The same five arrays and costs, as ``prog`` says they are."""
     n = prog.n_vars
     return (
-        np.vstack([prog.a_eq, prog.a_ge]),
+        np.vstack([dense(prog.a_eq), dense(prog.a_ge)]),
         np.concatenate([prog.b_eq, prog.b_ge]),
         np.concatenate([prog.b_eq, np.full(prog.b_ge.size, np.inf)]),
         np.full(n, -np.inf) if prog.lower_bounds is None else prog.lower_bounds,
@@ -158,9 +174,16 @@ def dense_program(prog):
     )
 
 
-def assert_highs_holds_the_program(model):
-    for got, want in zip(highs_copy(model), dense_program(model.program), strict=True):
+def appended(prog, a, b):
+    """The test's record of ``prog`` after the dense rows ``a x >= b``."""
+    return replace(prog, a_ge=np.vstack([prog.a_ge, a]), b_ge=np.concatenate([prog.b_ge, b]))
+
+
+def assert_highs_holds_the_program(model, record):
+    """HiGHS's copy and the model's own rows both equal ``record``."""
+    for got, held, want in zip(highs_copy(model), dense_program(model.program), dense_program(record), strict=True):
         assert np.array_equal(np.asarray(got, dtype=float), want)
+        assert np.array_equal(held, want)
 
 
 def encoder_programs(rng, n=4):
@@ -180,25 +203,29 @@ class TestOneRowPath:
     @pytest.mark.parametrize("kind", ["equality-and-ge", "ge-only", "finite-lower-bounds", "no-rows"])
     def test_highs_copy_equals_the_program(self, kind):
         rng = np.random.default_rng(11)
-        prog = encoder_programs(rng)[kind]
+        prog = record = encoder_programs(rng)[kind]
         model = Model(prog)
-        assert_highs_holds_the_program(model)
+        assert_highs_holds_the_program(model, record)
         for rows in (1, 3, 0, 2):
             a = rng.normal(size=(rows, prog.n_vars))
             a[:, 1] = 0.0  # a column left empty by the new block
-            model.add_rows(a, rng.normal(size=rows))
-            assert_highs_holds_the_program(model)
+            b = rng.normal(size=rows)
+            model.add_rows(a, b)
+            record = appended(record, a, b)
+            assert_highs_holds_the_program(model, record)
         assert model.program.b_ge.size == prog.b_ge.size + 6
 
     def test_pinned_rows_are_indexed_after_the_equalities(self):
         rng = np.random.default_rng(12)
         prog = encoder_programs(rng)["equality-and-ge"]
         model = Model(prog)
-        model.add_rows(rng.normal(size=(2, prog.n_vars)), [-5.0, -5.0])
+        a = rng.normal(size=(2, prog.n_vars))
+        model.add_rows(a, [-5.0, -5.0])
+        record = appended(prog, a, [-5.0, -5.0])
         held = []
         for row in range(model.program.b_ge.size):
             out = model.pinned(row)
-            assert_highs_holds_the_program(model)  # the pin is restored
+            assert_highs_holds_the_program(model, record)  # the pin is restored
             if out.status == OPTIMAL:
                 assert abs(out.slack_ge[row]) <= 1e2 * lp.TOL
                 held.append(row)
@@ -342,6 +369,78 @@ class TestWarmStatusPaths:
         assert model.minimize([-1.0, 0.0]).status == INFEASIBLE
 
 
+def loop_triplets(a):
+    """``a``'s nonzeros as ``lp.Rows``, read off entry by entry."""
+    row, col, val = [], [], []
+    for i, j in np.ndindex(*a.shape):
+        if a[i, j] != 0.0:
+            row.append(i), col.append(j), val.append(a[i, j])
+    return lp.Rows(np.array(row, dtype=np.intp), np.array(col, dtype=np.int64), np.array(val), a.shape)
+
+
+class TestSparseRows:
+    def test_triplet_block_equals_the_dense_block(self):
+        """The same block appended as triplets and dense: equal HiGHS
+        copies, bit-identical answers, and slacks equal to the dense
+        product within rounding."""
+        rng = np.random.default_rng(13)
+        verdicts = set()
+        for _ in range(10):
+            prog = random_program(rng)
+            a = rng.normal(size=(4, prog.n_vars))
+            a[rng.uniform(size=a.shape) < 0.4] = 0.0
+            a[2] = 0.0  # a row with no entry
+            b = np.concatenate([rng.normal(size=2) - 2.0, [-1.0], rng.normal(size=1) - 2.0])
+            by_dense, by_triplets = warm_model(prog), warm_model(prog)
+            by_dense.add_rows(a, b)
+            by_triplets.add_rows(loop_triplets(a), b)
+            for got, want in zip(highs_copy(by_triplets), highs_copy(by_dense), strict=True):
+                assert np.array_equal(got, want)
+            dense_out, triplet_out = by_dense.minimize(), by_triplets.minimize()
+            assert triplet_out.status == dense_out.status
+            verdicts.add(dense_out.status)
+            if dense_out.status == OPTIMAL:
+                assert triplet_out.x.tobytes() == dense_out.x.tobytes()
+                record = appended(prog, a, b)
+                for slack, want in ((triplet_out.slack_eq, record.a_eq @ triplet_out.x - record.b_eq),
+                                    (triplet_out.slack_ge, record.a_ge @ triplet_out.x - record.b_ge)):
+                    assert np.abs(slack - want).max() <= 1e-12
+        assert verdicts == {OPTIMAL, INFEASIBLE}
+
+    def test_sparse_residual_rejects_a_perturbed_answer(self):
+        # min x0 + x1 over x >= 0 with x0 + x1 >= 2 appended as triplets
+        model = Model(LinearProgram.build([1.0, 1.0], a_ge=np.eye(2), b_ge=[0.0, 0.0]))
+        model.add_rows(lp.Rows(np.array([0, 0]), np.array([0, 1], dtype=np.int32), np.ones(2), (1, 2)), [2.0])
+        assert model.minimize().objective == pytest.approx(2.0, abs=1e-12)
+        model._highs = ForcedStatus(model._highs, solutions=[_Point([1.0, 1.0 - 1e-8])])
+        out = model.minimize()  # short of the appended row by 1e-8: within 1e2 * TOL
+        assert out.x.tolist() == [1.0, 1.0 - 1e-8]
+        assert out.slack_ge[2] == pytest.approx(-1e-8, abs=1e-15)
+        off = _Point([1.0, 1.0 - 1e-6])
+        model._highs = forced = ForcedStatus(model._highs._highs, solutions=[off, off])
+        with pytest.raises(LpNumericalError, match="residual 1.000e-06"):
+            model.minimize()
+        assert forced.cleared == 1
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (lp.Rows(np.array([1, 0]), np.array([0, 1]), np.ones(2), (2, 2)), "sorted by row"),
+            (lp.Rows(np.array([0, 2]), np.array([0, 1]), np.ones(2), (2, 2)), "inside shape"),
+            (lp.Rows(np.array([0, 1]), np.array([0, 2]), np.ones(2), (2, 2)), "inside shape"),
+            (lp.Rows(np.array([0, 1]), np.array([0]), np.ones(2), (2, 2)), "triplets over 2 columns"),
+            (lp.Rows(np.array([0, 1]), np.array([0, 1]), np.ones(2), (2, 3)), "triplets over 2 columns"),
+        ],
+    )
+    def test_malformed_triplets_are_refused(self, rows, message):
+        model = Model(LinearProgram.build([1.0, 1.0], a_ge=np.eye(2), b_ge=[0.0, 0.0]))
+        with pytest.raises(LpError, match=message):
+            model.add_rows(rows, [0.0, 0.0])
+        with pytest.raises(LpError, match=message):
+            LinearProgram.build([1.0, 1.0], a_ge=rows, b_ge=[0.0, 0.0])
+        assert model.program.b_ge.size == 2
+
+
 def readme_core():
     spec = GameSpec.from_json_dict(README_GAME)
     samples = draw_private(DistributionSpec.uniform([0.0, 0.0], [1.0, 1.0]), (8, 8, 8), 5)
@@ -380,8 +479,9 @@ class TestLexmin:
         out = model.lexmin(costs)
         assert out.status == OPTIMAL
         assert np.abs(out.x - cold_lexicographic_allocation(core)).max() <= 1e-12
-        caps = model.program.a_ge[prog.b_ge.size :]
+        caps = dense(model.program.a_ge)[prog.b_ge.size :]
         assert np.array_equal(caps, -costs[:-1])  # one cap per cost but the last
+        assert np.array_equal(highs_copy(model)[0][prog.b_eq.size + prog.b_ge.size :], caps)
 
     def test_row_generation_runs_until_nothing_is_violated(self):
         rng = np.random.default_rng(21)

@@ -209,3 +209,42 @@ class TestMembership:
             sol = zc.solve_zeta_program(spec, samples)
             tb = sc.tighten(spec, samples)
             assert zc.zeta_membership(spec, tb, sol.zeta_bar, sol.x_star, tol=1e-7)
+
+
+class TestRowsAsTriplets:
+    def test_every_row_is_its_members_then_its_slack(self, monkeypatch):
+        """Each ``>=`` row of the ζ model, seeded or generated, holds its
+        coalition's members in ascending order and then its sample's slack
+        column, all with coefficient 1, and the sample's value as bound;
+        the other rows are the lexicographic caps."""
+        spec = random_affine_game(np.random.default_rng(17), regime="empty")
+        samples = draw_private(UNIT2, (9, 7, 8), 23)
+        models = []
+
+        class Recording(zc.lp.Model):
+            def __init__(self, program):
+                super().__init__(program)
+                models.append(self)
+
+        monkeypatch.setattr(zc.lp, "Model", Recording)
+        zc.solve_zeta_program(spec, samples)
+        (model,) = models
+        n, values = spec.n_agents, sc.value_table(spec, samples)
+        offset = np.concatenate([[0], np.cumsum(samples.counts)])
+        a, b = model.program.a_ge, model.program.b_ge
+        starts = np.searchsorted(a.row, np.arange(a.shape[0] + 1))
+        caps = generated = 0
+        for r in range(a.shape[0]):
+            col, val = a.col[starts[r] : starts[r + 1]], a.val[starts[r] : starts[r + 1]]
+            if (val < 0).all():
+                caps += 1
+                continue
+            assert (val == 1.0).all() and (np.diff(col) > 0).all()
+            slack = int(col[-1]) - n
+            agent = int(np.searchsorted(offset, slack, side="right")) - 1
+            coalition = Coalition.from_members(col[:-1].tolist())
+            assert col[-2] < n <= col[-1]
+            assert b[r] == values[agent][slack - offset[agent], spec.allowed(agent).index(coalition)]
+            generated += r >= len(zc._binding_rows(spec, values))
+        assert caps == n
+        assert generated > 0
