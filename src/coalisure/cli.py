@@ -199,7 +199,11 @@ def _load_samples(config: ExperimentConfig, out: Path, samples_path: Path | None
     path = samples_path or out / "samples.csv"
     if not path.exists():
         raise CoalisureError(f"samples file not found: {path} (run 'generate' first)")
-    return validation.SampleSet(config.spec, samples_from_csv(path.read_text()), config.compression_mode)
+    samples = samples_from_csv(path.read_text())
+    for agent, (held, wanted) in enumerate(zip(samples.counts, config.counts), 1):
+        if held != wanted:
+            raise CoalisureError(f"{path} holds {held} samples of agent {agent}, but the config's counts give {wanted}")
+    return validation.SampleSet(config.spec, samples, config.compression_mode)
 
 
 def _certificate_doc(config: ExperimentConfig, sampled: validation.SampleSet | None, method: str) -> dict:
@@ -212,7 +216,6 @@ def _certificate_doc(config: ExperimentConfig, sampled: validation.SampleSet | N
 
 
 def _certify(config: ExperimentConfig, sampled: validation.SampleSet | None, methods) -> dict:
-    config.split()  # an invalid beta split fails the command, not each method
     docs = {method: _certificate_doc(config, sampled, method) for method in methods}
     return {"schema_version": SCHEMA_VERSION, "certificates": docs}
 
@@ -340,6 +343,7 @@ def _prepare(config_path: Path, out: Path, seed: int | None) -> ExperimentConfig
 
 def _requested(config: ExperimentConfig, methods, ranks: bool = True) -> tuple[str, ...]:
     """The ``--method`` override, else the config's methods, checked for what they need."""
+    config.split()  # an invalid beta split fails the command before anything is written
     requested = methods or config.methods
     validation.check_prerequisites(config.spec, config.counts, config.epsilon, requested, ranks=ranks)
     return requested
@@ -376,7 +380,8 @@ def core(config_path, out, seed, samples_path):
 @_samples_option
 @_exits
 def compress(config_path, out, seed, samples_path):
-    """Per-agent compression sets via the pinned-constraint feasibility runs."""
+    """Per-agent compression sets: x(S) can sit at an agent's sampled maximum
+    on its polytope iff its minimum there is at most that maximum + 1e-9."""
     config = _prepare(config_path, out, seed)
     cset = _write_compression(out, _load_samples(config, out, samples_path))
     click.echo(f"wrote {out / 'compression.json'} (sizes={list(cset.cardinalities)})")
@@ -424,7 +429,7 @@ def zeta(config_path, out, seed, samples_path):
 def validate(config_path, out, methods, trials, fresh):
     """Coverage experiments: certified levels vs Monte Carlo estimates."""
     config = _prepare(config_path, out, None)
-    for report in _write_coverage(config, out, methods or config.methods, trials, fresh):
+    for report in _write_coverage(config, out, _requested(config, methods), trials, fresh):
         click.echo(
             f"{report.method}: exceedance {report.exceedance_frequency:.4f} over "
             f"{report.n_trials} trials ({report.n_failed} failed)"

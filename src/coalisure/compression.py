@@ -2,11 +2,12 @@
 
 A compression set is a subset of the pooled samples that reconstructs the
 same scenario core.  Each agent finds its own contribution without sharing
-raw data: for every coalition it may join, it pins that coalition's
-constraint at the agent's own sampled maximum and checks (by LP) whether
-the pinned system is still feasible.  If it is, the maximizing sample is
-essential and joins the compression set.  The union over agents is a valid
-compression, though in general not a minimal one.
+raw data: for every coalition it may join, it asks whether its own
+polytope P_i (every such coalition's constraint at the agent's sampled
+maximum) still has a point with that coalition's constraint at equality.
+If it has, the maximizing sample is essential and joins the compression
+set.  The union over agents is a valid compression, though in general not
+a minimal one.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from .sampling import PrivateSamples
 
 @dataclass(frozen=True)
 class CompressionMode:
-    """Constraint toggles for the per-coalition feasibility programs.
+    """Constraint toggles for the per-agent polytopes.
 
     The default keeps the grand-coalition efficiency equality (the core's
-    defining equation) and leaves payoffs sign-free.  ``printed`` drops the
-    efficiency row and forces x >= 0 instead, mirroring the bare
-    feasibility program some formulations state.
+    defining equation) and leaves payoffs sign-free.  ``efficiency=False,
+    nonnegative=True`` drops the efficiency row and forces x >= 0 instead,
+    mirroring the bare feasibility program some formulations state.
     """
 
     efficiency: bool = True
@@ -36,10 +37,6 @@ class CompressionMode:
     @classmethod
     def default(cls) -> "CompressionMode":
         return cls()
-
-    @classmethod
-    def printed(cls) -> "CompressionMode":
-        return cls(efficiency=False, nonnegative=True)
 
     @property
     def tag(self) -> str:
@@ -50,8 +47,8 @@ class CompressionMode:
 class CompressionSet:
     """Per-agent essential sample indices (0-based internally).
 
-    ``recruiters[i]`` maps each retained index to the coalitions whose
-    pinned program recruited it.
+    ``recruiters[i]`` maps each retained index to the coalitions that
+    recruited it.
     """
 
     per_agent: tuple[tuple[int, ...], ...]
@@ -95,30 +92,31 @@ def compress_agent(
 ) -> tuple[list[int], dict[int, tuple[Coalition, ...]]]:
     """One agent's compression indices and the coalitions that recruited them.
 
-    For each coalition S' the agent may join, solve the feasibility program
-    that pins S' at the agent's sampled maximum while every other coalition
-    of the agent keeps its inequality; feasibility marks the maximizing
-    sample (the lowest index among ties) as essential.  The agent's
-    programs differ only in which row is pinned, so they are one
-    :class:`lp.Model` re-solved once per pin.
+    For each coalition S' the agent may join, the program that holds S' at
+    the agent's sampled maximum while every other coalition of the agent
+    keeps its inequality is feasible exactly when the minimum of x(S') over
+    P_i is at most that maximum + ``lp.TOL`` (see :mod:`lp`); then the
+    maximizing sample (the lowest index among ties) is essential.  All the
+    minima come from one :meth:`lp.Model.minima` over the agent's rows; an
+    empty P_i recruits nothing after one solve.
     """
-    allowed = spec.allowed(agent)
     top, first = scenario_core.column_maxima(scenario_core.value_table(spec, samples)[agent])
     n = spec.n_agents
-    model = lp.Model(
+    rows = spec.incidence[spec.allowed_rows(agent)]
+    minima = lp.Model(
         lp.LinearProgram.build(
             np.zeros(n),
             a_eq=[np.ones(n)] if mode.efficiency else None,
             b_eq=[spec.grand_value] if mode.efficiency else None,
-            a_ge=spec.incidence[spec.allowed_rows(agent)],
+            a_ge=rows,
             b_ge=top,
             lower_bounds=np.zeros(n) if mode.nonnegative else None,
         )
-    )
+    ).minima(rows)
     picked: dict[int, list[Coalition]] = {}
-    for j, pinned in enumerate(allowed):
-        if model.pinned(j).is_optimal:
-            picked.setdefault(int(first[j]), []).append(pinned)
+    if minima is not None:
+        for j in np.flatnonzero(minima <= top + lp.TOL):
+            picked.setdefault(int(first[j]), []).append(spec.allowed(agent)[j])
     indices = sorted(picked)
     return indices, {k: tuple(picked[k]) for k in indices}
 

@@ -21,42 +21,51 @@ round; each block costs one concatenate of its nonzeros.  Dense input (a
 triplets in one place, :meth:`Rows.of`; a caller that builds triplets,
 such as the zeta program, passes :class:`Rows` directly.
 
-One constraint system is one model.  A family of programs over it (a
-coalition's minimum under each cost, one pinned row per compression
-program, cap rows appended by a lexicographic selection or violated rows
-by row generation) is a sequence of re-solves, each starting from the
-basis the previous one left, instead of a fresh instance per program.
-The first solve of a model is cold and runs the dual simplex.  A re-solve
-under a new cost starts from a primal feasible basis and runs the primal
-simplex; a pinned row or appended rows leave the basis dual feasible, and
-those re-solves run the dual simplex.  (After a cost change the dual
-simplex, too, ends within the 1e-9 tolerances of the optimum, but on
-degenerate cores with 1e-9 caps it can stop 1e-9 short of the point a cold
-solve returns.)  ``solve`` and ``feasible`` are one-shot models.  Both
-deterministic selections (the lexicographic core allocation and the zeta
-program) are one :meth:`Model.lexmin`: for each cost c_j in turn, minimize
-it, append the rows a callback finds violated and re-solve until it finds
-none, then cap ``-c_j.x >= -(optimum + TOL)`` before c_{j+1}.
+One constraint system is one model.  A family of programs over it (the
+minimum of each row of a matrix, cap rows appended by a lexicographic
+selection or violated rows by row generation) is a sequence of re-solves,
+each starting from the basis the previous one left, instead of a fresh
+instance per program.  The first solve of a model is cold and runs the
+dual simplex.  A re-solve under a new cost starts from a primal feasible
+basis and runs the primal simplex; appended rows leave the basis dual
+feasible, and those re-solves run the dual simplex.  (After a cost change
+the dual simplex, too, ends within the 1e-9 tolerances of the optimum,
+but on degenerate cores with 1e-9 caps it can stop 1e-9 short of the
+point a cold solve returns.)  ``solve`` and ``feasible`` are one-shot
+models.
+
+:meth:`Model.minima` minimizes each row of a matrix in turn, for the
+core's coalition minima and for compression.  Where ``r.x >= b`` is a row
+of the system, the system with that row held at equality is feasible
+exactly when the minimum of ``r.x`` is at most ``b + TOL``: HiGHS holds
+both programs to the same ``TOL``, and its verdicts on the equality
+program agree with this test at gaps of 5e-10 and 9e-10 (feasible) and
+1.1e-9 and above (infeasible), with values scaled from 1e-3 to 1e5.  So
+such a family costs one warm re-solve per row, and an empty system one
+solve.  Both deterministic selections (the lexicographic core allocation
+and the zeta program) are one :meth:`Model.lexmin`: for each cost c_j in
+turn, minimize it, append the rows a callback finds violated and re-solve
+until it finds none, then cap ``-c_j.x >= -(optimum + TOL)`` before
+c_{j+1}.
 
 With one thread and HiGHS's fixed default random seed, a model's answers
 are a function of its program and of the sequence of re-solves before
 them: identical inputs solved in the same order give bit-identical
-solutions, and callers fix that order (coalition minima in
-``coalitions()`` order, pins in ``allowed(i)`` order).  A warm answer may
-differ in the last bits from a cold solve of the same program.
+solutions, and callers fix that order (coalition minima and compression
+rows in coalition order).  A warm answer may differ in the last bits from
+a cold solve of the same program.
 
 Model status ``kOptimal``, ``kInfeasible`` and ``kUnbounded`` map to
 ``OPTIMAL``, ``INFEASIBLE`` and ``UNBOUNDED``.  ``kUnboundedOrInfeasible``
 (dual infeasibility found before primal feasibility was decided) is settled
 by re-solving with a zero objective: a feasible point means unbounded.  An
 optimal point must pass the residual check: no constraint or bound may be
-violated by more than ``1e2 * TOL``, and a pinned row counts as an
-equality.  Row activities come from a sparse product over the triplets
-(``np.bincount`` of ``val * x[col]`` by row), so every row's slack is
-reported.  A re-solve that ends with any other status or fails the
-residual check is solved once more from scratch in the same model
-(``clearSolver``); only if that fails too, or if the model's first (cold)
-solve fails, does ``LpNumericalError`` follow.
+violated by more than ``1e2 * TOL``.  Row activities come from a sparse
+product over the triplets (``np.bincount`` of ``val * x[col]`` by row), so
+every row's slack is reported.  A re-solve that ends with any other status
+or fails the residual check is solved once more from scratch in the same
+model (``clearSolver``); only if that fails too, or if the model's first
+(cold) solve fails, does ``LpNumericalError`` follow.
 
 The public wrappers ``scipy.optimize.linprog`` and ``milp`` solve the same
 programs with the same HiGHS, but validate their inputs and options in
@@ -230,8 +239,8 @@ class Model:
     """One HiGHS instance holding one constraint system.
 
     Built from a :class:`LinearProgram`, it re-solves under a new cost
-    (:meth:`minimize`), with one ``>=`` row held at equality
-    (:meth:`pinned`), after ``>=`` rows are appended (:meth:`add_rows`) and
+    (:meth:`minimize`), under each row of a matrix as the cost
+    (:meth:`minima`), after ``>=`` rows are appended (:meth:`add_rows`) and
     through a sequence of capped costs (:meth:`lexmin`); each re-solve
     starts from the basis the previous one left.  ``program``
     is the current system, its rows held as the :class:`Rows` HiGHS was
@@ -248,7 +257,6 @@ class Model:
         lower = np.full(p.n_vars, -np.inf) if p.lower_bounds is None else p.lower_bounds
         self._accept(self._highs.addVars(p.n_vars, lower, np.full(p.n_vars, np.inf)))
         self._set_cost(p.objective)
-        # equality rows first, so >= row i sits at index b_eq.size + i (see pinned)
         upper = np.concatenate([p.b_eq, np.full(p.b_ge.size, np.inf)])
         self._add_rows(p.a_eq.stack(p.a_ge), np.concatenate([p.b_eq, p.b_ge]), upper)
 
@@ -258,15 +266,19 @@ class Model:
             self._set_cost(np.asarray(cost, dtype=float))
         return self._solve(primal=cost is not None)
 
-    def pinned(self, row: int) -> LpOutcome:
-        """Minimize with ``>=`` row ``row`` held at equality, then restore it."""
-        at = self.program.b_eq.size + row
-        bound = float(self.program.b_ge[row])
-        self._highs.changeRowBounds(at, bound, bound)
-        try:
-            return self._solve(pin=row)
-        finally:
-            self._highs.changeRowBounds(at, bound, np.inf)
+    def minima(self, rows) -> np.ndarray | None:
+        """Minimize each row of ``rows`` in turn, one :meth:`minimize` per
+        row: the minima (read-only, ``-inf`` where a row is unbounded
+        below), or ``None`` at the first infeasible solve."""
+        rows = np.asarray(rows, dtype=float)
+        minima = np.empty(len(rows))
+        for r, row in enumerate(rows):
+            out = self.minimize(row)
+            if out.status == INFEASIBLE:
+                return None
+            minima[r] = -np.inf if out.status == UNBOUNDED else out.objective
+        minima.flags.writeable = False
+        return minima
 
     def lexmin(self, costs, violated: Callable[[np.ndarray], tuple] | None = None) -> LpOutcome:
         """Minimize each row of ``costs`` in turn, capping each optimum at
@@ -333,7 +345,7 @@ class Model:
             )
         return status
 
-    def _solve(self, pin: int | None = None, primal: bool = False) -> LpOutcome:
+    def _solve(self, primal: bool = False) -> LpOutcome:
         # a warm answer that is undecided or fails the residual check is
         # solved once more from scratch before it counts as an error
         for attempt in range(2 if self._solved else 1):
@@ -350,22 +362,20 @@ class Model:
             if verdict != OPTIMAL:
                 return LpOutcome(verdict, None, None, None, None)
             x = np.array(self._highs.getSolution().col_value)
-            out, worst = self._outcome(x, pin)
+            out, worst = self._outcome(x)
             if worst <= 1e2 * TOL:
                 return out
             failure = f"residual {worst:.3e} exceeds tolerance after solve"
         raise LpNumericalError(failure)
 
-    def _outcome(self, x: np.ndarray, pin: int | None) -> tuple[LpOutcome, float]:
+    def _outcome(self, x: np.ndarray) -> tuple[LpOutcome, float]:
         """The optimal outcome at ``x`` and its worst constraint or bound
-        violation (a pinned row counts as an equality)."""
+        violation."""
         p = self.program
         slack_eq = p.a_eq.dot(x) - p.b_eq
         slack_ge = p.a_ge.dot(x) - p.b_ge
         worst = float(np.abs(slack_eq).max(initial=0.0))
         worst = max(worst, float(-slack_ge.min(initial=0.0)))
-        if pin is not None:
-            worst = max(worst, abs(float(slack_ge[pin])))
         if p.lower_bounds is not None:
             finite = np.isfinite(p.lower_bounds)
             worst = max(worst, float((p.lower_bounds[finite] - x[finite]).max(initial=0.0)))

@@ -101,14 +101,7 @@ class ScenarioCoreDesc:
     def _minima(self) -> np.ndarray | None:
         """Every coalition's minimum payoff over the core, in row order, from
         one model re-solved row by row; ``None`` for an empty core."""
-        model = lp.Model(_core_lp(self, np.zeros(self.n_agents)))
-        minima = np.empty(len(self.bounds.coalitions))
-        for r, row in enumerate(self.constraint_rows()[0]):
-            if (minimum := _minimum(model.minimize(row))) is None:
-                return None
-            minima[r] = minimum
-        minima.flags.writeable = False
-        return minima
+        return lp.Model(_core_lp(self, np.zeros(self.n_agents))).minima(self.constraint_rows()[0])
 
     def to_json_dict(self) -> dict:
         return {
@@ -226,15 +219,8 @@ def coalition_min(core: ScenarioCoreDesc, coalition: Coalition) -> float:
     try:
         return float(core._minima[core.bounds.row(coalition)])
     except KeyError:
-        return _minimum(lp.solve(_core_lp(core, incidence((coalition,), core.n_agents)[0])))
-
-
-def _minimum(out: lp.LpOutcome) -> float | None:
-    """A minimum over the core: ``None`` if the core is empty, ``-inf`` if
-    the objective is unbounded below."""
-    if out.status == lp.INFEASIBLE:
-        return None
-    return -np.inf if out.status == lp.UNBOUNDED else float(out.objective)
+        model = lp.Model(_core_lp(core, np.zeros(core.n_agents)))
+        return float(model.minima(incidence((coalition,), core.n_agents))[0])
 
 
 def vertices(core: ScenarioCoreDesc) -> list[np.ndarray]:

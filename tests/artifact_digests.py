@@ -1,4 +1,4 @@
-"""SHA-256 of every `run-all` artifact on six fixed configs.
+"""SHA-256 of every `run-all` artifact on seven fixed configs.
 
 Run it on two checkouts and diff the outputs; identical output means
 byte-identical artifacts:
@@ -20,7 +20,10 @@ all six methods with 20,000 fresh draws:
   3 trials;
 * ``relaxed-n3-k200``: the ``relaxed-n3-k200`` empty-core game (grand
   value 3.8) with its seed-11 seeds, K=200, 3 trials, whose ζ programs
-  take many rounds of row generation.
+  take many rounds of row generation;
+* ``readme-sign-on``: the README game, K=50, 3 trials, with the
+  compression mode ``{"efficiency": false, "nonnegative": true}``, so
+  both compression modes are covered.
 
 The 5-agent games and the empty-core game come from
 ``perfbench/workloads.py``.  Not collected
@@ -62,6 +65,9 @@ def configs() -> dict[str, dict]:
         workloads.EMPTY_CORE_VALUES, 3.8, 200,
         workloads.derive(11, 1), workloads.derive(11, 2), workloads.METHODS, 3,
     )
+    sign_on = workloads.config_doc(workloads.README_VALUES, 6.0, 50, 20240901, 7, workloads.METHODS, 3)
+    sign_on["compression"] = {"efficiency": False, "nonnegative": True}
+    out["readme-sign-on"] = sign_on
     for doc in out.values():
         doc["validation"]["n_fresh"] = FRESH
     return out

@@ -66,9 +66,10 @@ class TestCompressAgent:
         model = ValueModel.affine(1, {C1: (-2.0, [-1.0]), C2: (-3.0, [0.0])})
         spec = GameSpec(2, 10.0, model)
         samples = manual_samples([[0.5, 0.2], [0.1]])
-        indices, _ = cp.compress_agent(spec, samples, 0, cp.CompressionMode.printed())
+        mode = cp.CompressionMode(efficiency=False, nonnegative=True)
+        indices, _ = cp.compress_agent(spec, samples, 0, mode)
         assert indices == []
-        cset = cp.compress_all(spec, samples, cp.CompressionMode.printed())
+        cset = cp.compress_all(spec, samples, mode)
         assert cset.cardinalities == (0, 0)
         assert cset.mode_tag == "efficiency=off,sign=on"
 

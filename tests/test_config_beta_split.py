@@ -1,5 +1,6 @@
 """An explicit beta split must list one number per agent, and the loader
-says so; its sum must be beta, and certify says so."""
+says so; its sum must be beta, and certify, validate and run-all say so
+before they write anything."""
 
 import pytest
 
@@ -46,6 +47,15 @@ def test_split_that_misses_beta_fails_certify(tmp_path):
     assert r.exit_code == 1, r.output
     assert "beta_split sums to 0.03, but beta is 0.2" in r.output
     assert not (tmp_path / "out" / "certificates.json").exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "validate", "run-all"])
+def test_split_that_misses_beta_fails_before_any_write(tmp_path, command):
+    out = tmp_path / "out"
+    r = run(command, "--config", write_config(tmp_path, beta=0.2, beta_split=[0.01, 0.01, 0.01]), "--out", out)
+    assert r.exit_code == 1, r.output
+    assert "error: beta_split sums to 0.03, but beta is 0.2" in r.output
+    assert not list(out.iterdir())
 
 
 def test_split_within_the_sum_tolerance_is_kept():

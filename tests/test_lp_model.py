@@ -1,6 +1,9 @@
-"""``lp.Model``: one HiGHS instance re-solved under a new cost, with a row
-pinned at equality and after rows are appended.  Each re-solve is checked
-against a fresh one-shot solve of the same program, and every status path
+"""``lp.Model``: one HiGHS instance re-solved under a new cost, under each
+row of a matrix (``minima``) and after rows are appended.  Each re-solve is
+checked against a fresh one-shot solve of the same program; a row's
+minimum is at most its bound + ``TOL`` exactly when the program with that
+row at equality is feasible, on random programs and at gaps around
+``TOL`` over eight orders of magnitude.  Every status path
 of a warm answer is forced through a wrapper around the model's HiGHS
 instance.  HiGHS's own copy of a model, built and grown through the one
 row path, and the model's own row triplets (``model.program``) are read
@@ -72,20 +75,19 @@ class TestReSolves:
                 assert_same_answer(warm, cold)
                 assert np.abs(warm.x - cold.x).max() <= 1e-9
 
-    def test_pins_match_fresh_solves_and_restore(self):
+    def test_minima_decide_the_pinned_programs(self):
         rng = np.random.default_rng(4)
         verdicts = set()
         for _ in range(10):
             prog = random_program(rng)
             model = Model(prog)
+            minima = model.minima(dense(prog.a_ge))
             for row in range(prog.b_ge.size):
-                warm = model.pinned(row)
-                assert_same_answer(warm, solve(with_row_at_equality(prog, row)))
-                verdicts.add(warm.status)
-                if warm.status == OPTIMAL:
-                    assert abs(warm.slack_ge[row]) <= 1e2 * lp.TOL
-            assert_same_answer(model.minimize(), solve(prog))  # every pin restored
-        assert verdicts == {OPTIMAL, INFEASIBLE}
+                held = bool(minima[row] <= prog.b_ge[row] + lp.TOL)
+                assert held == solve(with_row_at_equality(prog, row)).is_optimal
+                verdicts.add(held)
+            assert_same_answer(model.minimize(prog.objective), solve(prog))  # the system is unchanged
+        assert verdicts == {True, False}
 
     def test_appended_rows_match_fresh_solves(self):
         rng = np.random.default_rng(5)
@@ -108,18 +110,16 @@ class TestReSolves:
                 assert warm.slack_ge.size == grown.b_ge.size
         assert verdicts == {OPTIMAL, INFEASIBLE}
 
-    def test_feasibility_model_pins(self):
+    def test_feasibility_model_minima(self):
         # x1 + x2 = 1, x >= 0 and 0.5 <= x1 <= 2: x1 = 0.5 is reachable, x1 = 2 is not
+        a_ge, b_ge = np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.5, -2.0])
         model = Model(
-            LinearProgram.build(
-                [0.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], a_ge=[[1.0, 0.0], [-1.0, 0.0]], b_ge=[0.5, -2.0],
-                lower_bounds=[0.0, 0.0],
-            )
+            LinearProgram.build([0.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], a_ge=a_ge, b_ge=b_ge, lower_bounds=[0.0, 0.0])
         )
-        out = model.pinned(0)
-        assert out.status == OPTIMAL and out.x == pytest.approx([0.5, 0.5], abs=1e-12)
-        assert model.pinned(1).status == INFEASIBLE
-        assert model.pinned(0).status == OPTIMAL
+        minima = model.minima(a_ge)
+        assert minima == pytest.approx([0.5, -1.0], abs=1e-12)
+        assert (minima <= b_ge + lp.TOL).tolist() == [True, False]
+        assert model.minima(a_ge[::-1]) == pytest.approx([-1.0, 0.5], abs=1e-12)
 
     def test_solve_order_fixes_the_bits(self):
         rng = np.random.default_rng(6)
@@ -215,21 +215,21 @@ class TestOneRowPath:
             assert_highs_holds_the_program(model, record)
         assert model.program.b_ge.size == prog.b_ge.size + 6
 
-    def test_pinned_rows_are_indexed_after_the_equalities(self):
+    def test_minima_cover_appended_rows(self):
         rng = np.random.default_rng(12)
         prog = encoder_programs(rng)["equality-and-ge"]
         model = Model(prog)
         a = rng.normal(size=(2, prog.n_vars))
         model.add_rows(a, [-5.0, -5.0])
         record = appended(prog, a, [-5.0, -5.0])
-        held = []
-        for row in range(model.program.b_ge.size):
-            out = model.pinned(row)
-            assert_highs_holds_the_program(model, record)  # the pin is restored
-            if out.status == OPTIMAL:
-                assert abs(out.slack_ge[row]) <= 1e2 * lp.TOL
-                held.append(row)
-        assert set(held) & {prog.b_ge.size, prog.b_ge.size + 1}  # an appended row held at equality
+        rows = dense(model.program.a_ge)
+        minima = model.minima(rows)
+        for got, want in zip(highs_copy(model)[:5], dense_program(record)[:5], strict=True):
+            assert np.array_equal(np.asarray(got, dtype=float), want)  # rows and bounds stay as built
+        held = minima <= record.b_ge + lp.TOL
+        for row in range(record.b_ge.size):
+            assert held[row] == solve(with_row_at_equality(record, row)).is_optimal
+        assert held[prog.b_ge.size :].any()  # an appended row held at equality
 
     def test_rejected_columns_and_rows_raise(self):
         with pytest.raises(LpNumericalError, match="rejected"):
@@ -329,18 +329,16 @@ class TestWarmStatusPaths:
         assert forced.cleared == 1
         assert_same_answer(out, solve(prog))
 
-    def test_pinned_row_is_checked_as_an_equality(self):
-        # x >= 0 and x <= 3 with the row x >= 1 pinned: x = 2 satisfies
-        # every inequality but not the pin
+    def test_minima_re_solves_pass_the_residual_check(self):
+        # 1 <= x <= 3: the point x = 0 misses the row x >= 1
         prog = LinearProgram.build([0.0], a_ge=[[1.0], [-1.0]], b_ge=[1.0, -3.0])
         model = warm_model(prog)
-        model._highs = forced = ForcedStatus(model._highs, solutions=[_Point([2.0])])
-        out = model.pinned(0)
+        model._highs = forced = ForcedStatus(model._highs, solutions=[_Point([0.0])])
+        assert model.minima([[1.0]]).tolist() == [pytest.approx(1.0, abs=1e-12)]
         assert forced.cleared == 1
-        assert out.status == OPTIMAL and out.x[0] == pytest.approx(1.0, abs=1e-12)
-        model._highs = ForcedStatus(forced._highs, solutions=[_Point([2.0]), _Point([2.0])])
+        model._highs = ForcedStatus(forced._highs, solutions=[_Point([0.0]), _Point([0.0])])
         with pytest.raises(LpNumericalError, match="residual"):
-            model.pinned(0)
+            model.minima([[-1.0]])
 
     def test_unbounded_or_infeasible_is_settled_by_the_probe(self):
         # the probe runs for real: feasible means unbounded, infeasible stays so
@@ -348,10 +346,11 @@ class TestWarmStatusPaths:
         model = warm_model(prog)
         model._highs = ForcedStatus(model._highs, [_MS.kUnboundedOrInfeasible])
         assert model.minimize([-1.0]).status == UNBOUNDED
-        # pinning x <= 5 at equality leaves nothing below the bound x <= 3
-        infeasible = warm_model(LinearProgram.build([1.0], a_ge=[[1.0], [-1.0], [-1.0]], b_ge=[0.0, -3.0, -5.0]))
+        # appending x >= 5 leaves nothing below the bound x <= 3
+        infeasible = warm_model(prog)
+        infeasible.add_rows([[1.0]], [5.0])
         infeasible._highs = ForcedStatus(infeasible._highs, [_MS.kUnboundedOrInfeasible])
-        assert infeasible.pinned(2).status == INFEASIBLE
+        assert infeasible.minimize().status == INFEASIBLE
 
     @pytest.mark.parametrize("presolve", ["on", "off"])
     def test_undecided_status_is_settled_on_warm_re_solves(self, monkeypatch, presolve):
@@ -367,6 +366,57 @@ class TestWarmStatusPaths:
         assert model.minimize([1.0, 1.0]).status == OPTIMAL
         model.add_rows([[0.0, 1.0]], [2.0])  # 2 <= x1 <= 1
         assert model.minimize([-1.0, 0.0]).status == INFEASIBLE
+
+
+class CountedRuns(ForcedStatus):
+    """A model's HiGHS instance that counts its runs."""
+
+    runs = 0
+
+    def run(self):
+        self.runs += 1
+        return self._highs.run()
+
+
+def gapped_program(scale, gap):
+    """x1 + x2 = 2 scale, x1 >= scale / 2 (row 0) and x2 <= 3 scale / 2 - gap:
+    the minimum of x1 sits ``gap`` above row 0's bound."""
+    return LinearProgram.build(
+        [0.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[2 * scale], a_ge=[[1.0, 0.0], [0.0, -1.0]],
+        b_ge=[scale / 2, -(1.5 * scale - gap)],
+    )
+
+
+class TestMinima:
+    @pytest.mark.parametrize("scale", [1e-3, 1e5])
+    @pytest.mark.parametrize("gap, held", [(5e-10, True), (9e-10, True), (1.1e-9, False), (2e-9, False)])
+    def test_verdict_at_the_tolerance_matches_the_pinned_program(self, scale, gap, held):
+        prog = gapped_program(scale, gap)
+        minima = Model(prog).minima(dense(prog.a_ge))
+        assert bool(minima[0] <= prog.b_ge[0] + lp.TOL) is held
+        assert solve(with_row_at_equality(prog, 0)).is_optimal is held
+
+    def test_infeasible_system_stops_after_one_solve(self):
+        model = Model(LinearProgram.build([0.0], a_ge=[[1.0], [-1.0]], b_ge=[1.0, 0.0]))  # 1 <= x <= 0
+        model._highs = counted = CountedRuns(model._highs)
+        assert model.minima(np.ones((5, 1))) is None
+        assert counted.runs == 1
+
+    def test_unbounded_row_is_minus_infinity(self):
+        # x1 + x2 = 1 and x1 >= 0: x2 sinks without limit
+        model = Model(LinearProgram.build([0.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], a_ge=[[1.0, 0.0]], b_ge=[0.0]))
+        minima = model.minima([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        assert minima.tolist() == [pytest.approx(0.0, abs=1e-12), -np.inf, pytest.approx(1.0, abs=1e-12)]
+        assert not minima.flags.writeable
+
+    def test_bits_equal_a_loop_of_minimize(self):
+        rng = np.random.default_rng(14)
+        for _ in range(5):
+            prog = random_program(rng)
+            rows = np.vstack([dense(prog.a_ge), rng.normal(size=(4, prog.n_vars))])
+            looped = Model(prog)
+            want = np.array([looped.minimize(row).objective for row in rows])
+            assert Model(prog).minima(rows).tobytes() == want.tobytes()
 
 
 def loop_triplets(a):

@@ -1,6 +1,9 @@
 """A malformed samples CSV is a DistributionError that names its line
 (`core --samples` exits 1 with `error: ...`), not a traceback, a later,
-misleading LP error or a row silently overwritten by a later one."""
+misleading LP error or a row silently overwritten by a later one.  A
+well-formed file whose per-agent counts differ from the config's is
+refused before anything is written: certificates for the config's K_i
+from a draw of another size would be unsound."""
 
 import pytest
 
@@ -56,3 +59,16 @@ def test_core_with_bad_samples_exits_1(tmp_path, name):
     assert r.exception is None or isinstance(r.exception, SystemExit)
     assert "error: samples CSV " + where in r.output
     assert not (out / "core.json").exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "zeta"])
+def test_samples_with_other_counts_are_refused(tmp_path, command):
+    drawn = tmp_path / "drawn"
+    r = run("generate", "--config", write_config(tmp_path, counts=[12, 10, 12]), "--out", drawn)
+    assert r.exit_code == 0, r.output
+    samples = drawn / "samples.csv"
+    out = tmp_path / "out"
+    r = run(command, "--config", write_config(tmp_path), "--out", out, "--samples", samples)
+    assert r.exit_code == 1, r.output
+    assert f"error: {samples} holds 10 samples of agent 2, but the config's counts give 12" in r.output
+    assert not list(out.iterdir())

@@ -34,7 +34,7 @@ from oracles import (
 )
 
 UNIT2 = DistributionSpec.uniform([0.0, 0.0], [1.0, 1.0])
-MODES = (cp.CompressionMode.default(), cp.CompressionMode.printed())
+MODES = (cp.CompressionMode.default(), cp.CompressionMode(efficiency=False, nonnegative=True))
 
 
 def full_game(rng, n, slack):
