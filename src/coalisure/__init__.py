@@ -1,5 +1,15 @@
 """Scenario cores and PAC stability certificates for uncertain coalitional games."""
 
+import os
+
+# BLAS on one thread unless the caller says otherwise: numpy's and scipy's
+# OpenBLAS builds each start a thread pool on import, which slows the CLI's
+# start-up on a few-CPU machine.  Set before anything here imports numpy;
+# a variable already set wins.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
 from .errors import (
     CoalisureError,
     ConfigError,

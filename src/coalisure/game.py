@@ -133,10 +133,15 @@ class ValueModel:
         return float(np.max(offsets + slopes @ xi))
 
     def value_batch(self, coalition: Coalition, xis: np.ndarray) -> np.ndarray:
-        """Vectorized ``value`` over rows of an (n, dim) sample matrix."""
+        """Vectorized ``value`` over rows of an (n, dim) sample matrix; a
+        one-piece form is one matrix-vector product, with the same bits as
+        the max over its single column."""
         offsets, slopes = self.pieces(coalition)
-        vals = xis @ slopes.T + offsets
-        return vals.max(axis=1)
+        if offsets.size == 1:
+            vals = xis @ slopes[0]
+            vals += offsets[0]
+            return vals
+        return (xis @ slopes.T + offsets).max(axis=1)
 
 
 def incidence(coalitions: Sequence[Coalition], n_agents: int) -> np.ndarray:

@@ -19,9 +19,11 @@ Coverage runs are trial-major: a trial's seeds depend on the experiment
 seed and the trial index, never on the method, so one trial draws one
 private multi-sample into one :class:`SampleSet` (one core, allocation,
 compression set, ζ solution and set of core minima) and certifies every
-requested method on it.  One fresh draw then serves them all: each
+requested method on it.  One fresh draw then serves them all, streamed
+in blocks of ``sampling._FRESH_BLOCK`` rows: in each block, each
 coalition's fresh values are computed once, compared against every
-distinct point's threshold and dropped.
+distinct point's threshold and dropped, so the pass holds one block
+whatever the number of fresh draws.
 
 All estimators are exact binomial experiments, reported with two-sided
 99% Clopper-Pearson intervals.
@@ -42,7 +44,7 @@ from scipy.special import betaincinv
 from . import compression, risk, scenario_core, zeta_core
 from .errors import CoalisureError, ConfigError, EmptyCoreError
 from .game import GameSpec
-from .sampling import DistributionSpec, PrivateSamples, draw_fresh, draw_private
+from .sampling import DistributionSpec, PrivateSamples, draw_private, fresh_blocks
 
 _TRIAL_TAG = 0x7B1A15
 
@@ -223,20 +225,23 @@ def estimate_violations(
     order): the fraction of ``n`` fresh draws under which some coalition's
     value strictly exceeds its threshold.
 
-    All maps share one fresh draw and one evaluation of every coalition's
-    values; no values are kept beyond the coalition being compared.
+    All maps share one fresh draw, streamed block by block
+    (:func:`~coalisure.sampling.fresh_blocks`), and one evaluation of every
+    coalition's values per block; no values are kept beyond the coalition
+    being compared, and no draws beyond the block.
     """
-    fresh = draw_fresh(dist, n, seed)
-    flags = [np.zeros(fresh.shape[0], dtype=bool) for _ in thresholds]
-    for row, coalition in enumerate(spec.coalitions):
-        vals = spec.value_model.value_batch(coalition, fresh)
-        for hit, lims in zip(flags, thresholds):
-            hit |= vals > lims[row]
+    hits = [0] * len(thresholds)
+    for block in fresh_blocks(dist, n, seed):
+        flags = [np.zeros(block.shape[0], dtype=bool) for _ in thresholds]
+        for row, coalition in enumerate(spec.coalitions):
+            vals = spec.value_model.value_batch(coalition, block)
+            for hit, lims in zip(flags, thresholds):
+                hit |= vals > lims[row]
+        hits = [total + int(np.count_nonzero(hit)) for total, hit in zip(hits, flags)]
     out = []
-    for hit in flags:
-        hits = int(hit.sum())
-        lo, hi = clopper_pearson(hits, n)
-        out.append(ViolationEstimate(hits / n, int(n), hits, lo, hi, int(seed)))
+    for count in hits:
+        lo, hi = clopper_pearson(count, n)
+        out.append(ViolationEstimate(count / n, int(n), count, lo, hi, int(seed)))
     return out
 
 

@@ -1,4 +1,4 @@
-"""SHA-256 of every `run-all` artifact on seven fixed configs.
+"""SHA-256 of every `run-all` artifact on nine fixed configs.
 
 Run it on two checkouts and diff the outputs; identical output means
 byte-identical artifacts:
@@ -23,9 +23,16 @@ all six methods with 20,000 fresh draws:
   take many rounds of row generation;
 * ``readme-sign-on``: the README game, K=50, 3 trials, with the
   compression mode ``{"efficiency": false, "nonnegative": true}``, so
-  both compression modes are covered.
+  both compression modes are covered;
+* ``readme-gaussian``: the README game under a correlated gaussian
+  uncertainty, K=50, 3 trials;
+* ``readme-mixture-maxaffine``: the README game with coalition {1,2}
+  the max of two affine pieces, under a mixture of a box and a gaussian,
+  K=50, 3 trials.
 
-The 5-agent games and the empty-core game come from
+The last two cover the gaussian and mixture transforms and the
+multi-piece value path; the others are uniform and one-piece.  20,000
+fresh draws cross the fresh pass's block boundary.  The 5-agent games and the empty-core game come from
 ``perfbench/workloads.py``.  Not collected
 by pytest (the file name lacks the ``test_`` prefix).
 """
@@ -68,6 +75,14 @@ def configs() -> dict[str, dict]:
     sign_on = workloads.config_doc(workloads.README_VALUES, 6.0, 50, 20240901, 7, workloads.METHODS, 3)
     sign_on["compression"] = {"efficiency": False, "nonnegative": True}
     out["readme-sign-on"] = sign_on
+    gauss = {"kind": "gaussian", "mean": [0.5, 0.5], "cov": [[0.04, 0.01], [0.01, 0.09]]}
+    gaussian = workloads.config_doc(workloads.README_VALUES, 6.0, 50, 20240901, 7, workloads.METHODS, 3)
+    gaussian["distribution"] = gauss
+    out["readme-gaussian"] = gaussian
+    mixture = workloads.config_doc(workloads.README_VALUES, 6.0, 50, 20240902, 8, workloads.METHODS, 3)
+    mixture["game"]["values"]["1,2"].append({"a": 0.1, "b": [0.2, 1.0]})
+    mixture["distribution"] = {"kind": "mixture", "weights": [0.4, 0.6], "components": [workloads.UNIT2, gauss]}
+    out["readme-mixture-maxaffine"] = mixture
     for doc in out.values():
         doc["validation"]["n_fresh"] = FRESH
     return out

@@ -6,8 +6,9 @@ enumeration, LP minima in given directions for vertex lists too large for
 that loop, double loops for maxima, grid search for emptiness,
 high-precision term summation and a binomial-tail sign evaluator for
 the certificate polynomial, coverage trials run one method at a time,
-each with its own fresh draw, and fresh uniform draws by one broadcast
-over the whole array.  The minimal-compression search enumerates sample
+each with its own fresh draw, fresh uniform draws by one broadcast over
+the whole array, and fresh draws and hit counts from one draw of the whole
+array, where the library streams it in blocks.  The minimal-compression search enumerates sample
 subsets in increasing size and compares cores by LP.  Compression pins,
 coalition minima, lexicographic selection and the zeta row generation are
 solved with one fresh LP per program, where the library re-solves one
@@ -380,6 +381,27 @@ def broadcast_uniform_fresh(spec, n, seed):
     (n, d) array of ``Generator.random`` uniforms on the fresh stream."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_FRESH_TAG,))
     return spec.lo + (spec.hi - spec.lo) * np.random.default_rng(ss).random((int(n), spec.dim))
+
+
+def one_shot_fresh(spec, n, seed):
+    """Fresh draws from one ``Generator.random`` call for the whole
+    (n, width) array of uniforms on the fresh stream."""
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_FRESH_TAG,))
+    return spec._from_uniforms(np.random.default_rng(ss).random((int(n), spec.width)))
+
+
+def whole_array_hits(spec, thresholds, dist, n, seed):
+    """For each threshold array, the number of the ``n`` one-shot fresh
+    draws under which some coalition's value, the max over its pieces of
+    ``a + b . xi`` from one matrix product, exceeds its threshold."""
+    fresh = one_shot_fresh(dist, n, seed)
+    flags = [np.zeros(n, dtype=bool) for _ in thresholds]
+    for row, c in enumerate(spec.coalitions):
+        offsets, slopes = spec.value_model.pieces(c)
+        vals = (fresh @ slopes.T + offsets).max(axis=1)
+        for hit, lims in zip(flags, thresholds):
+            hit |= vals > lims[row]
+    return [int(hit.sum()) for hit in flags]
 
 
 # --- one coverage trial, one method at a time -------------------------------

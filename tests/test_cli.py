@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import coalisure
 from coalisure import risk
 from coalisure.cli import main
 
@@ -232,3 +237,19 @@ class TestConfigValidation:
         assert r.exit_code == 2
         r = run("validate", "--config", cfg, "--out", out)
         assert r.exit_code == 2
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("ambient", [None, "2"])
+def test_cli_import_pins_blas_threads_unless_set(ambient):
+    # the variables must be set before numpy loads, so read them back in a
+    # fresh interpreter that imports the CLI (and with it numpy) first
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = str(Path(coalisure.__file__).resolve().parents[1])
+    if ambient is not None:
+        env.update(dict.fromkeys(BLAS_VARS, ambient))
+    code = "import os, sys, coalisure.cli; print('numpy' in sys.modules, *(os.environ[k] for k in %r))" % (BLAS_VARS,)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["True"] + [ambient or "1"] * 3

@@ -107,6 +107,18 @@ class TestValueModel:
         for row, expected in zip(xis, batch):
             assert model.value(Coalition.of(0, 1), row) == pytest.approx(expected)
 
+    @pytest.mark.parametrize("n", [1, 7, 16385])
+    def test_one_piece_batch_bits_equal_max_over_the_product(self, n):
+        # a one-piece form is a matrix-vector product; its bits must equal
+        # the max over the single column of the (n, 1) matrix product
+        rng = np.random.default_rng(n)
+        for dim in (1, 2, 3, 5):
+            offsets, slopes = rng.normal(size=1), rng.normal(size=(1, dim))
+            model = ValueModel(dim, {Coalition.of(0): [(offsets[0], slopes[0])]})
+            xis = rng.normal(size=(n, dim))
+            want = (xis @ slopes.T + offsets).max(axis=1)
+            assert np.array_equal(model.value_batch(Coalition.of(0), xis).view(np.int64), want.view(np.int64))
+
 
 class TestGameSpecValidation:
     def test_needs_two_agents(self):

@@ -96,7 +96,7 @@ def test_configs_must_differ_only_in_method():
 
 
 def test_run_all_does_each_trial_once(tmp_path, monkeypatch):
-    calls = {"draw_private": 0, "draw_fresh": 0, "compress_all": 0, "coalition_min": 0}
+    calls = {"draw_private": 0, "fresh_blocks": 0, "compress_all": 0, "coalition_min": 0}
 
     def counted(owner, name, key):
         fn = getattr(owner, name)
@@ -109,7 +109,7 @@ def test_run_all_does_each_trial_once(tmp_path, monkeypatch):
 
     counted(cli, "draw_private", "draw_private")
     counted(validation, "draw_private", "draw_private")
-    counted(validation, "draw_fresh", "draw_fresh")
+    counted(validation, "fresh_blocks", "fresh_blocks")  # one fresh stream per trial
     counted(compression, "compress_all", "compress_all")
     counted(scenario_core, "coalition_min", "coalition_min")
     trials = 3
@@ -117,7 +117,7 @@ def test_run_all_does_each_trial_once(tmp_path, monkeypatch):
     assert r.exit_code == 0, r.output
     assert calls == {
         "draw_private": 1 + trials,
-        "draw_fresh": trials,
+        "fresh_blocks": trials,
         "compress_all": 1 + trials,
         "coalition_min": trials * len(GameSpec.from_json_dict(README_GAME).coalitions),
     }
