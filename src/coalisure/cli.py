@@ -72,23 +72,17 @@ from .sampling import DistributionSpec, draw_private, samples_from_csv, samples_
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    spec: GameSpec
-    dist: DistributionSpec
-    counts: tuple[int, ...]
-    master_seed: int
-    beta: float
-    beta_split: str | tuple[float, ...]
-    methods: tuple[str, ...]
-    trials: int
-    n_fresh: int
-    validation_seed: int
-    epsilon: float | None
-    compression_mode: compression.CompressionMode
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(validation.Experiment):
+    """A config file: its validation experiment (``seed`` is the validation
+    seed), the seed of the pipeline's own sample, and the methods to run."""
 
-    def split(self) -> risk.BetaSplit:
-        return risk.BetaSplit.make(self.beta, self.spec.n_agents, self.beta_split, self.counts)
+    master_seed: int
+    methods: tuple[str, ...]
+
+    @property
+    def validation_seed(self) -> int:
+        return self.seed
 
 
 def _require(doc: dict, key: str, kind, where: str = "config"):
@@ -183,9 +177,9 @@ def load_config(path: Path) -> ExperimentConfig:
         beta=beta,
         beta_split=beta_split,
         methods=methods,
-        trials=trials,
+        n_trials=trials,
         n_fresh=n_fresh,
-        validation_seed=validation_seed,
+        seed=validation_seed,
         epsilon=epsilon,
         compression_mode=mode,
     )
@@ -218,22 +212,6 @@ def _certificate_doc(config: ExperimentConfig, sampled: validation.SampleSet | N
 def _certify(config: ExperimentConfig, sampled: validation.SampleSet | None, methods) -> dict:
     docs = {method: _certificate_doc(config, sampled, method) for method in methods}
     return {"schema_version": SCHEMA_VERSION, "certificates": docs}
-
-
-def _coverage_config(config: ExperimentConfig, method: str, trials, n_fresh) -> validation.CoverageConfig:
-    return validation.CoverageConfig(
-        spec=config.spec,
-        dist=config.dist,
-        counts=config.counts,
-        method=method,
-        beta=config.beta,
-        n_trials=trials,
-        n_fresh=n_fresh,
-        seed=config.validation_seed,
-        beta_split=config.beta_split,
-        epsilon=config.epsilon,
-        compression_mode=config.compression_mode,
-    )
 
 
 def _write_samples(config: ExperimentConfig, out: Path) -> validation.SampleSet:
@@ -269,11 +247,12 @@ def _write_zeta(config: ExperimentConfig, out: Path, sampled: validation.SampleS
 
 
 def _write_coverage(config: ExperimentConfig, out: Path, methods, trials, fresh) -> list:
-    trials = config.trials if trials is None else trials
-    fresh = config.n_fresh if fresh is None else fresh
-    reports = validation.coverage_experiments(
-        [_coverage_config(config, m, trials, fresh) for m in methods]
+    experiment = dataclasses.replace(
+        config,
+        n_trials=config.n_trials if trials is None else trials,
+        n_fresh=config.n_fresh if fresh is None else fresh,
     )
+    reports = validation.coverage_experiments(experiment, methods)
     for report in reports:
         write_json(out / f"coverage_{report.method}.json", report.to_json_dict())
         (out / f"coverage_{report.method}.csv").write_text(report.to_csv())

@@ -55,6 +55,7 @@ ALL_METHODS = (
 # target comfortably inside the 1e-10 contract so the residual holds under
 # independent re-evaluation too
 _ROOT_RESIDUAL_TOL = 5e-11
+_BUDGET_CELLS = 1 << 20  # budget-DP candidates per block: 8 MiB of float64
 
 
 def log_binom(n: int | np.ndarray, k: int | np.ndarray) -> np.ndarray | float:
@@ -256,8 +257,11 @@ def a_posteriori_core_bound(
 def _budget_maximize(tables: Sequence[np.ndarray], budget: int) -> list[int]:
     """The s maximizing sum_i f_i(s_i) s.t. sum s_i <= budget, 0 <= s_i <= K_i.
 
-    Dynamic programming over (agent, remaining budget); ties resolve to the
-    smallest s for the earliest agents, so the assignment is deterministic.
+    Dynamic programming over (agent, remaining budget), one max-plus step
+    per agent: cand[b, s] = f_i(s) + value[b - s] for s <= min(K_i, b) and
+    -inf elsewhere, over blocks of budgets of at most ``_BUDGET_CELLS``
+    candidates.  ``argmax`` keeps the first maximum, so ties resolve to the
+    smallest s for the earliest agents and the assignment is deterministic.
     """
     budget = int(min(budget, sum(len(t) - 1 for t in tables)))
     if budget < 0:
@@ -265,14 +269,17 @@ def _budget_maximize(tables: Sequence[np.ndarray], budget: int) -> list[int]:
     value = np.zeros(budget + 1)
     choices = []
     for table in tables:
+        width = min(len(table), budget + 1)
+        table = np.asarray(table[:width], dtype=float)
+        rows = max(1, _BUDGET_CELLS // width)
         new_value = np.empty(budget + 1)
-        choice = np.zeros(budget + 1, dtype=int)
-        for b in range(budget + 1):
-            s_hi = min(len(table) - 1, b)
-            cand = table[: s_hi + 1] + value[b - s_hi : b + 1][::-1]
-            s_best = int(np.argmax(cand))
-            new_value[b] = cand[s_best]
-            choice[b] = s_best
+        choice = np.empty(budget + 1, dtype=int)
+        for lo in range(0, budget + 1, rows):
+            hi = min(lo + rows, budget + 1)
+            rest = np.arange(lo, hi)[:, None] - np.arange(width)  # b - s, >= -budget
+            cand = np.where(rest >= 0, table + value[rest], -np.inf)
+            choice[lo:hi] = best = np.argmax(cand, axis=1)
+            new_value[lo:hi] = cand[np.arange(hi - lo), best]
         value = new_value
         choices.append(choice)
     assignment = [0] * len(tables)

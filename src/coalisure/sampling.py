@@ -37,13 +37,16 @@ _FRESH_BLOCK = 16384
 _KINDS = ("uniform", "gaussian", "mixture")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistributionSpec:
     """Uncertainty distribution: uniform box, gaussian, or a finite mixture.
 
     uniform: params = {"lo": [d], "hi": [d]}
     gaussian: params = {"mean": [d], "cov": [d, d]}
     mixture: params = {"weights": [m], "components": [m DistributionSpec dicts]}
+
+    The fields hold arrays, so equality and hashing are by identity, as for
+    :class:`~coalisure.game.ValueModel`.
     """
 
     kind: str
@@ -54,7 +57,7 @@ class DistributionSpec:
     cov: np.ndarray | None = None
     weights: np.ndarray | None = None
     components: tuple["DistributionSpec", ...] = ()
-    _chol: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _chol: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def uniform(cls, lo: Sequence[float], hi: Sequence[float]) -> "DistributionSpec":

@@ -15,11 +15,13 @@ Two estimators and one harness:
 * coverage experiments that rebuild the whole pipeline trial after trial
   and compare certified levels against estimated truth.
 
-Coverage runs are trial-major: a trial's seeds depend on the experiment
-seed and the trial index, never on the method, so one trial draws one
-private multi-sample into one :class:`SampleSet` (one core, allocation,
+A coverage run takes one :class:`Experiment` and the methods to check on
+it, and is trial-major: a trial's seeds depend on the experiment seed and
+the trial index, never on the method, so one trial draws one private
+multi-sample into one :class:`SampleSet` (one core, allocation,
 compression set, ζ solution and set of core minima) and certifies every
-requested method on it.  One fresh draw then serves them all, streamed
+method on it, a certificate that reads no samples being built once per
+experiment.  One fresh draw then serves them all, streamed
 in blocks of ``sampling._FRESH_BLOCK`` rows: in each block, each
 coalition's fresh values are computed once, compared against every
 distinct point's threshold and dropped, so the pass holds one block
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Sequence
@@ -95,12 +97,11 @@ class Method:
     paths into a :class:`SampleSet`: the point whose out-of-sample
     instability the certificate bounds and the per-agent counts it reads
     (``None``: an a priori statement).  ``certificate(config, counts,
-    seed)`` builds it; ``derives_beta``: its confidence is an output."""
+    seed)`` builds it."""
 
     point: str
     certificate: Callable[..., risk.RiskCertificate]
     complexity: str | None = None
-    derives_beta: bool = False
 
     @property
     def needs_samples(self) -> bool:
@@ -118,9 +119,13 @@ def _compression_provenance(config, seed) -> dict:
 
 
 def check_prerequisites(spec: GameSpec, counts, epsilon, methods, *, needs_epsilon=True, ranks=True) -> None:
-    """A :class:`ConfigError` unless ``allocation-apriori``, if among
-    ``methods``, has a total ``epsilon`` (if ``needs_epsilon``), every agent
-    in some coalition and (if ``ranks``) each K_i >= its support rank."""
+    """A :class:`ConfigError` unless every one of ``methods`` is a known
+    method and ``allocation-apriori``, if among them, has a total
+    ``epsilon`` (if ``needs_epsilon``), every agent in some coalition and
+    (if ``ranks``) each K_i >= its support rank."""
+    for method in methods:
+        if method not in METHODS:
+            raise ConfigError(f"unknown certificate method {method!r}")
     if risk.METHOD_ALLOCATION_APRIORI not in methods:
         return
     if needs_epsilon and epsilon is None:
@@ -133,7 +138,7 @@ def check_prerequisites(spec: GameSpec, counts, epsilon, methods, *, needs_epsil
             raise ConfigError(f"allocation-apriori needs K_i >= the support rank: {msg}")
 
 
-def _support_rank_bound(config, counts, seed) -> risk.RiskCertificate:
+def _support_rank_bound(config) -> risk.RiskCertificate:
     if config.epsilon is None:
         raise ConfigError("allocation-apriori needs 'epsilon' in the config")
     n = config.spec.n_agents
@@ -152,7 +157,7 @@ METHODS: dict[str, Method] = {
     risk.METHOD_CORE_APRIORI: Method(
         "core", lambda config, s, seed: risk.a_priori_core_bound(config.split(), config.counts)
     ),
-    risk.METHOD_ALLOCATION_APRIORI: Method("allocation", _support_rank_bound, derives_beta=True),
+    risk.METHOD_ALLOCATION_APRIORI: Method("allocation", lambda config, s, seed: _support_rank_bound(config)),
     risk.METHOD_ALLOCATION_APOSTERIORI: Method(
         "allocation",
         lambda config, s, seed: risk.a_posteriori_allocation_bound(
@@ -331,14 +336,14 @@ class CoverageReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class CoverageConfig:
-    """One coverage experiment: a fixed game, resampled trial after trial."""
+@dataclass(frozen=True, kw_only=True)
+class Experiment:
+    """One coverage experiment: a fixed game, resampled trial after trial,
+    each trial's points checked against ``n_fresh`` fresh draws."""
 
     spec: GameSpec
     dist: DistributionSpec
     counts: tuple[int, ...]
-    method: str
     beta: float
     n_trials: int
     n_fresh: int
@@ -350,11 +355,8 @@ class CoverageConfig:
     )
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown certificate method {self.method!r}")
         if len(self.counts) != self.spec.n_agents:
             raise ConfigError("counts must cover every agent")
-        check_prerequisites(self.spec, self.counts, self.epsilon, [self.method])
         if self.n_trials < 1 or self.n_fresh < 1:
             raise ConfigError("a coverage run needs at least one trial and one fresh draw")
 
@@ -362,7 +364,15 @@ class CoverageConfig:
         return risk.BetaSplit.make(self.beta, self.spec.n_agents, self.beta_split, self.counts)
 
 
-_SHARED_FIELDS = tuple(f.name for f in fields(CoverageConfig) if f.name != "method")
+@dataclass(frozen=True, kw_only=True)
+class CoverageConfig(Experiment):
+    """An experiment of one certificate method."""
+
+    method: str
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_prerequisites(self.spec, self.counts, self.epsilon, [self.method])
 
 
 def trial_seeds(seed: int, trial: int) -> tuple[int, int]:
@@ -376,36 +386,49 @@ def _error(exc: CoalisureError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def trial_results(configs: Sequence[CoverageConfig], trial: int) -> list[TrialResult]:
-    """One trial of every config's method, in the order given.
+def fixed_certificates(experiment: Experiment, methods: Sequence[str]) -> dict[str, risk.RiskCertificate | str]:
+    """The certificate, or its error string, of each of ``methods`` that
+    reads no samples: one stands for every trial of ``experiment``."""
+    fixed: dict[str, risk.RiskCertificate | str] = {}
+    for name in methods:
+        if not METHODS[name].needs_samples:
+            try:
+                fixed[name] = certify(name, experiment, None, experiment.seed)
+            except CoalisureError as exc:
+                fixed[name] = _error(exc)
+    return fixed
 
-    The configs differ only in ``method``.  One private multi-sample feeds
-    one :class:`SampleSet`; each method takes its point, then its
-    certificate, then the point's thresholds from it, and a
-    :class:`CoalisureError` on the way is that method's result.  The
-    methods that get through share one fresh draw, with one estimate per
-    distinct point.
+
+def trial_results(
+    experiment: Experiment, methods: Sequence[str], trial: int, fixed: dict[str, risk.RiskCertificate | str]
+) -> list[TrialResult]:
+    """One trial of every method, in the order given.
+
+    One private multi-sample feeds one :class:`SampleSet`; each method
+    takes its point, then its certificate (from ``fixed``, see
+    :func:`fixed_certificates`, if it reads no samples), then the point's
+    thresholds from it, and a :class:`CoalisureError` on the way is that
+    method's result.  The methods that get through share one fresh draw,
+    with one estimate per distinct point.
     """
-    config = configs[0]
-    master_seed, fresh_seed = trial_seeds(config.seed, trial)
+    master_seed, fresh_seed = trial_seeds(experiment.seed, trial)
     try:
-        sampled = SampleSet(
-            config.spec, draw_private(config.dist, config.counts, master_seed), config.compression_mode
-        )
+        samples = draw_private(experiment.dist, experiment.counts, master_seed)
+        sampled = SampleSet(experiment.spec, samples, experiment.compression_mode)
     except CoalisureError as exc:
-        return [TrialResult(trial, master_seed, fresh_seed, error=_error(exc)) for _ in configs]
+        return [TrialResult(trial, master_seed, fresh_seed, error=_error(exc)) for _ in methods]
     outcomes: list[risk.RiskCertificate | str] = []
     thresholds: dict[str, np.ndarray] = {}  # point path -> thresholds
-    for cfg in configs:
-        method = METHODS[cfg.method]
+    for name in methods:
+        method = METHODS[name]
         try:
             point = attrgetter(method.point)(sampled)
-            cert = certify(cfg.method, cfg, sampled, master_seed)
-            if method.point not in thresholds:
+            cert = fixed[name] if name in fixed else certify(name, experiment, sampled, master_seed)
+            if not isinstance(cert, str) and method.point not in thresholds:
                 thresholds[method.point] = (
-                    _core_thresholds(config.spec, point)
+                    _core_thresholds(experiment.spec, point)
                     if method.point == "core"
-                    else _allocation_thresholds(config.spec, point)
+                    else _allocation_thresholds(experiment.spec, point)
                 )
             outcomes.append(cert)
         except CoalisureError as exc:
@@ -413,15 +436,15 @@ def trial_results(configs: Sequence[CoverageConfig], trial: int) -> list[TrialRe
     estimates: dict[str, ViolationEstimate] = {}
     if thresholds:
         found = estimate_violations(
-            config.spec, list(thresholds.values()), config.dist, config.n_fresh, fresh_seed
+            experiment.spec, list(thresholds.values()), experiment.dist, experiment.n_fresh, fresh_seed
         )
         estimates = dict(zip(thresholds, found))
     results = []
-    for cfg, outcome in zip(configs, outcomes):
+    for name, outcome in zip(methods, outcomes):
         if isinstance(outcome, str):
             results.append(TrialResult(trial, master_seed, fresh_seed, error=outcome))
             continue
-        method = METHODS[cfg.method]
+        method = METHODS[name]
         est = estimates[method.point]
         results.append(
             TrialResult(
@@ -443,7 +466,8 @@ def run_trial(config: CoverageConfig, trial: int) -> TrialResult:
     """One trial of one method: draw a private multi-sample, compute the
     method's point, then its certificate, then the point's estimated
     instability."""
-    return trial_results([config], trial)[0]
+    methods = (config.method,)
+    return trial_results(config, methods, trial, fixed_certificates(config, methods))[0]
 
 
 def worker_count() -> int:
@@ -454,58 +478,41 @@ def worker_count() -> int:
         return 1
 
 
-def _same_experiment(a: CoverageConfig, b: CoverageConfig) -> bool:
-    try:
-        return all(
-            getattr(a, name) is getattr(b, name) or getattr(a, name) == getattr(b, name)
-            for name in _SHARED_FIELDS
-        )
-    except ValueError:  # distinct distribution objects compare arrays element-wise
-        return False
+def coverage_experiments(experiment: Experiment, methods: Sequence[str]) -> list[CoverageReport]:
+    """One report per method, run trial-major: every trial serves all the
+    methods (see :func:`trial_results`).
 
-
-def _report_beta(config: CoverageConfig) -> float:
-    if METHODS[config.method].derives_beta:
-        # a confidence derived from (K, eps, rank) does not depend on the
-        # drawn samples, so one certificate stands for every trial
-        return certify(config.method, config, None, config.seed).beta
-    return config.beta
-
-
-def coverage_experiments(configs: Sequence[CoverageConfig]) -> list[CoverageReport]:
-    """One report per config, run trial-major: every trial serves all the
-    configs' methods (see :func:`trial_results`).
-
-    The configs must differ only in ``method``.  Trials run in a thread
-    pool of ``COALISURE_THREADS`` workers, each taking whole trial indices;
-    per-trial seeds derive from (experiment seed, trial index) alone, so
-    the reports are identical whatever the worker count.
+    Trials run in a thread pool of ``COALISURE_THREADS`` workers, each
+    taking whole trial indices; per-trial seeds derive from (experiment
+    seed, trial index) alone, so the reports are identical whatever the
+    worker count.  A report's ``beta`` is its certificate's where one
+    certificate stands for every trial, else the experiment's.
     """
-    configs = list(configs)
-    if not configs:
+    methods = tuple(methods)
+    if not methods:
         return []
-    if not all(_same_experiment(c, configs[0]) for c in configs[1:]):
-        raise ConfigError("coverage configs run together must differ only in method")
-    indices = range(configs[0].n_trials)
+    check_prerequisites(experiment.spec, experiment.counts, experiment.epsilon, methods)
+    fixed = fixed_certificates(experiment, methods)
+    indices = range(experiment.n_trials)
     workers = worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(lambda t: trial_results(configs, t), indices))
+            per_trial = list(pool.map(lambda t: trial_results(experiment, methods, t, fixed), indices))
     else:
-        per_trial = [trial_results(configs, t) for t in indices]
+        per_trial = [trial_results(experiment, methods, t, fixed) for t in indices]
     return [
         CoverageReport(
-            method=config.method,
-            beta=_report_beta(config),
-            n_trials=config.n_trials,
-            n_fresh=config.n_fresh,
-            seed=config.seed,
+            method=name,
+            beta=getattr(fixed.get(name), "beta", experiment.beta),
+            n_trials=experiment.n_trials,
+            n_fresh=experiment.n_fresh,
+            seed=experiment.seed,
             trials=tuple(results[i] for results in per_trial),
         )
-        for i, config in enumerate(configs)
+        for i, name in enumerate(methods)
     ]
 
 
 def coverage_experiment(config: CoverageConfig) -> CoverageReport:
     """Run every trial of one method and collect the report."""
-    return coverage_experiments([config])[0]
+    return coverage_experiments(config, (config.method,))[0]

@@ -404,6 +404,33 @@ def whole_array_hits(spec, thresholds, dist, n, seed):
     return [int(hit.sum()) for hit in flags]
 
 
+# --- the budget dynamic program, one budget at a time -----------------------
+
+def loop_budget_maximize(tables, budget):
+    """``risk._budget_maximize`` one (agent, budget) cell at a time: the
+    candidates of s = 0..min(K_i, b), the first maximum kept."""
+    budget = int(min(budget, sum(len(t) - 1 for t in tables)))
+    value = np.zeros(budget + 1)
+    choices = []
+    for table in tables:
+        new_value = np.empty(budget + 1)
+        choice = np.zeros(budget + 1, dtype=int)
+        for b in range(budget + 1):
+            s_hi = min(len(table) - 1, b)
+            cand = table[: s_hi + 1] + value[b - s_hi : b + 1][::-1]
+            s_best = int(np.argmax(cand))
+            new_value[b] = cand[s_best]
+            choice[b] = s_best
+        value = new_value
+        choices.append(choice)
+    assignment = [0] * len(tables)
+    b = budget
+    for i in range(len(tables) - 1, -1, -1):
+        assignment[i] = int(choices[i][b])
+        b -= assignment[i]
+    return assignment
+
+
 # --- one coverage trial, one method at a time -------------------------------
 
 def per_method_trial(config, trial):

@@ -5,13 +5,17 @@ the ``relaxed-n3-k200`` workload replaces ``zeta_core.solve_zeta_program``
 with a hook that takes exactly ``(spec, samples)``.  The correctness gate
 of ``runall-n5-k200`` loads the config with ``cli.load_config``, reads
 ``samples.csv`` back and calls ``scenario_core.build``/``tighten``/
-``contains`` and ``compression.compression_reproduces_bounds``.  Renaming
-a traced function or changing one of those calls breaks ``perfbench/run.py``
-at run time; these tests make it fail here instead.  The tracer file is
-parsed, not imported, so nothing under ``perfbench/`` is touched.
+``contains`` and ``compression.compression_reproduces_bounds``.  The
+trial workloads build a ``validation.CoverageConfig`` from keywords read
+off a ``cli.load_config`` result and call ``validation.run_trial`` on it.
+Renaming a traced function or changing one of those calls breaks
+``perfbench/run.py`` at run time; these tests make it fail here instead.
+The perfbench files are parsed, not imported, so nothing under
+``perfbench/`` is touched.
 """
 
 import ast
+import dataclasses
 import importlib
 import json
 from pathlib import Path
@@ -24,7 +28,9 @@ from coalisure.sampling import DistributionSpec, draw_private, samples_from_csv
 
 from test_pipeline import README_GAME, run, write_config
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def tracer_targets() -> list[tuple[str, str, str]]:
@@ -84,3 +90,48 @@ def test_gate_calls_on_a_sample_set_read_back_from_csv(tmp_path):
     assert zeta_core.solve_zeta_program(spec, samples).s_star == tuple(
         json.loads((out / "zeta.json").read_text())["s_star"]
     )
+
+
+def _method_of(tree: ast.Module, cls: str, name: str) -> ast.FunctionDef:
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == name:
+                    return item
+    raise AssertionError(f"perfbench/workloads.py defines no {cls}.{name}")
+
+
+def _argument(node: ast.expr, config, method):
+    """A keyword argument of ``TrialWorkload._coverage_config``: a constant,
+    its ``method`` or an attribute of its ``config``."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.Name) and node.id == "method":
+        return method
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "config":
+        return getattr(config, node.attr)
+    raise AssertionError(f"unexpected CoverageConfig argument {ast.unparse(node)}")
+
+
+def test_trial_workload_config_runs_a_trial(tmp_path):
+    tree = ast.parse(WORKLOADS.read_text())
+    build = _method_of(tree, "TrialWorkload", "_coverage_config")
+    (call,) = [
+        n for n in ast.walk(build) if isinstance(n, ast.Call) and ast.unparse(n.func) == "validation.CoverageConfig"
+    ]
+    read = {  # every key a workload reads off a trial record
+        n.slice.value
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Name) and n.value.id == "rec"
+        and isinstance(n.slice, ast.Constant)
+    }
+    assert {"error", "epsilon", "p_hat", "cp_lower", "cp_upper", "s_values", "counts"} <= read
+    config = cli.load_config(write_config(tmp_path))
+    for method in risk.ALL_METHODS:
+        kwargs = {kw.arg: _argument(kw.value, config, method) for kw in call.keywords}
+        cfg = validation.CoverageConfig(**kwargs)
+        assert cfg.method == method
+        cfg = dataclasses.replace(cfg, seed=5, counts=(20, 20, 20))
+        # the record ``trial_record`` builds from a trial
+        rec = {"counts": list(cfg.counts), **validation.run_trial(cfg, 0).to_json_dict()}
+        assert read <= rec.keys(), method

@@ -8,7 +8,7 @@ from coalisure import risk
 from coalisure.errors import CoalisureError, NoRootError
 from coalisure.game import Coalition, GameSpec, ValueModel
 
-from oracles import _poly_normalized, mp_closed_form_epsilon, mp_poly_normalized
+from oracles import _poly_normalized, loop_budget_maximize, mp_closed_form_epsilon, mp_poly_normalized
 
 
 def plugback_residual(k_total, beta_i):
@@ -170,6 +170,30 @@ class TestCoreBounds:
         assert cert.epsilon == pytest.approx(min(1.0, best), abs=0.0)
         assignment = [r["s"] for r in cert.per_agent]
         assert sum(assignment) <= budget
+
+    @pytest.mark.parametrize("n,k", [(3, 50), (5, 200), (7, 1000)])
+    def test_dp_matches_the_loop_on_epsilon_tables(self, n, k):
+        split = risk.BetaSplit.equal(0.2, n)
+        for tables in (
+            [risk.epsilon_implicit(k, b) for b in split.per_agent],
+            [risk._closed_form_table(k, b, n) for b in split.per_agent],
+        ):
+            for budget in (0, n, 2 ** n - 1, n * k):
+                assert risk._budget_maximize(tables, budget) == loop_budget_maximize(tables, budget)
+
+    @pytest.mark.parametrize("cells", [1, 7, 1 << 20])
+    def test_dp_matches_the_loop_under_forced_ties(self, cells, monkeypatch):
+        # small integer tables tie often; few cells per block split the
+        # budgets into many blocks
+        monkeypatch.setattr(risk, "_BUDGET_CELLS", cells)
+        rng = np.random.default_rng(cells)
+        for _ in range(200):
+            tables = [
+                rng.integers(0, 3, size=rng.integers(1, 25)).astype(float)
+                for _ in range(rng.integers(1, 6))
+            ]
+            budget = int(rng.integers(0, 80))
+            assert risk._budget_maximize(tables, budget) == loop_budget_maximize(tables, budget)
 
     def test_single_agent_budget_monotone(self):
         split = risk.BetaSplit.explicit([0.1])

@@ -7,7 +7,6 @@ import pytest
 from oracles import per_method_trial
 
 from coalisure import cli, compression, risk, scenario_core, validation
-from coalisure.errors import ConfigError
 from coalisure.game import GameSpec
 from coalisure.sampling import DistributionSpec
 
@@ -41,6 +40,11 @@ def configs(game=README_GAME, counts=(15, 15, 15), **kw):
     return [dataclasses.replace(base, method=m) for m in risk.ALL_METHODS]
 
 
+def together(cfgs):
+    """Every config's method, run as one experiment."""
+    return validation.coverage_experiments(cfgs[0], [c.method for c in cfgs])
+
+
 CASES = {
     "readme": configs(),
     "empty-core": configs(EMPTY_CORE_GAME, counts=(30, 30, 30)),
@@ -50,16 +54,17 @@ CASES = {
 
 @pytest.mark.parametrize("cfgs", CASES.values(), ids=CASES.keys())
 def test_all_methods_at_once_equal_one_at_a_time(cfgs):
-    together = validation.coverage_experiments(cfgs)
-    assert [r.method for r in together] == list(risk.ALL_METHODS)
-    for report, cfg in zip(together, cfgs):
+    reports = together(cfgs)
+    assert [r.method for r in reports] == list(risk.ALL_METHODS)
+    for report, cfg in zip(reports, cfgs):
         assert report.to_json_dict() == validation.coverage_experiment(cfg).to_json_dict()
         for t in report.trials:
             assert t.to_json_dict() == per_method_trial(cfg, t.trial).to_json_dict()
+            assert t == validation.run_trial(cfg, t.trial)
 
 
 def test_empty_core_error_strings():
-    reports = {r.method: r for r in validation.coverage_experiments(CASES["empty-core"])}
+    reports = {r.method: r for r in together(CASES["empty-core"])}
     for method, report in reports.items():
         errors = {t.error for t in report.trials}
         if validation.METHODS[method].point == "core":
@@ -71,28 +76,18 @@ def test_empty_core_error_strings():
 
 
 def test_threads_match_serial(monkeypatch):
-    serial = [r.to_json_dict() for r in validation.coverage_experiments(CASES["readme"])]
+    serial = [r.to_json_dict() for r in together(CASES["readme"])]
     monkeypatch.setenv("COALISURE_THREADS", "3")
     assert validation.worker_count() == 3
-    threaded = [r.to_json_dict() for r in validation.coverage_experiments(CASES["readme"])]
+    threaded = [r.to_json_dict() for r in together(CASES["readme"])]
     assert threaded == serial
 
 
 def test_derived_beta_is_the_support_rank_confidence():
-    report = validation.coverage_experiments(CASES["readme"])[2]
+    report = together(CASES["readme"])[2]
     assert report.method == risk.METHOD_ALLOCATION_APRIORI
     cfg = CASES["readme"][2]
     assert report.beta == validation.certify(cfg.method, cfg, None, cfg.seed).beta != cfg.beta
-
-
-def test_configs_must_differ_only_in_method():
-    cfgs = CASES["readme"]
-    assert validation.coverage_experiments([]) == []
-    with pytest.raises(ConfigError, match="differ only in method"):
-        validation.coverage_experiments([cfgs[0], dataclasses.replace(cfgs[1], n_fresh=100)])
-    other = dataclasses.replace(cfgs[1], dist=DistributionSpec.uniform([0.0, 0.0], [1.0, 1.0]))
-    with pytest.raises(ConfigError, match="differ only in method"):
-        validation.coverage_experiments([cfgs[0], other])
 
 
 def test_run_all_does_each_trial_once(tmp_path, monkeypatch):
