@@ -18,7 +18,10 @@ overrides: artifacts carry no timestamps and identical inputs produce
 bit-identical outputs.  Exit codes: 0 success, 1 runtime failure,
 2 config/schema error.
 
-Config schema (JSON object)::
+Config schema (JSON object).  A key not shown, at the top level or in
+``game`` (which may also hold the ``schema_version`` that
+``GameSpec.to_json_dict`` writes), ``validation`` or ``compression``, or
+a ``schema_version`` other than 1, is a config error that names it::
 
     {
       "schema_version": 1,
@@ -101,6 +104,28 @@ def _is_count(value, least: int = 1) -> bool:
     return type(value) is int and value >= least
 
 
+_CONFIG_KEYS = (
+    "schema_version", "game", "distribution", "counts", "master_seed", "beta",
+    "beta_split", "epsilon", "methods", "validation", "compression",
+)
+
+
+def _known_keys(doc: dict, keys, where: str) -> None:
+    """A :class:`ConfigError` naming the first key of ``doc`` not in ``keys``."""
+    for key in doc:
+        if key not in keys:
+            raise ConfigError(f"unknown key {where + key!r}; known: {', '.join(keys)}")
+
+
+def _section(doc: dict, key: str, defaults: dict) -> dict:
+    """The object ``doc[key]`` (absent: empty) over ``defaults``, whose keys are the known ones."""
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} must be an object")
+    _known_keys(section, defaults, f"{key}.")
+    return {**defaults, **section}
+
+
 def load_config(path: Path) -> ExperimentConfig:
     try:
         doc = json.loads(Path(path).read_text())
@@ -110,6 +135,10 @@ def load_config(path: Path) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
+    _known_keys(doc, _CONFIG_KEYS, "")
+    version = doc.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
 
     try:
         spec = GameSpec.from_json_dict(_require(doc, "game", dict))
@@ -138,19 +167,9 @@ def load_config(path: Path) -> ExperimentConfig:
     if not isinstance(methods, list):
         raise ConfigError("methods must be a list of certificate method names")
     methods = tuple(methods)
-    for m in methods:
-        if m not in risk.ALL_METHODS:
-            raise ConfigError(
-                f"unknown certificate method {m!r}; valid: {', '.join(risk.ALL_METHODS)}"
-            )
-    val = doc.get("validation", {})
-    if not isinstance(val, dict):
-        raise ConfigError("validation must be an object")
-    trials = val.get("trials", 50)
-    n_fresh = val.get("n_fresh", 10000)
-    validation_seed = val.get("seed", master_seed)
-    for name, v, least in (("trials", trials, 1), ("n_fresh", n_fresh, 1), ("seed", validation_seed, 0)):
-        if not _is_count(v, least):
+    val = _section(doc, "validation", {"trials": 50, "n_fresh": 10000, "seed": master_seed})
+    for name, least in (("trials", 1), ("n_fresh", 1), ("seed", 0)):
+        if not _is_count(val[name], least):
             raise ConfigError(f"validation.{name} must be an integer >= {least}")
     epsilon = doc.get("epsilon")
     if epsilon is not None:
@@ -159,10 +178,7 @@ def load_config(path: Path) -> ExperimentConfig:
         epsilon = float(epsilon)
         if not 0.0 < epsilon < 1.0:
             raise ConfigError("epsilon must lie in (0,1)")
-    comp = doc.get("compression", {})
-    if not isinstance(comp, dict):
-        raise ConfigError("compression must be an object")
-    toggles = {"efficiency": comp.get("efficiency", True), "nonnegative": comp.get("nonnegative", False)}
+    toggles = _section(doc, "compression", {"efficiency": True, "nonnegative": False})
     for name, v in toggles.items():
         if type(v) is not bool:
             raise ConfigError(f"compression.{name} must be true or false")
@@ -177,9 +193,9 @@ def load_config(path: Path) -> ExperimentConfig:
         beta=beta,
         beta_split=beta_split,
         methods=methods,
-        n_trials=trials,
-        n_fresh=n_fresh,
-        seed=validation_seed,
+        n_trials=val["trials"],
+        n_fresh=val["n_fresh"],
+        seed=val["seed"],
         epsilon=epsilon,
         compression_mode=mode,
     )
@@ -394,6 +410,7 @@ def certify(config_path, out, seed, samples_path, methods):
 def zeta(config_path, out, seed, samples_path):
     """Slack-minimizing allocation, complexity counts, and its certificate."""
     config = _prepare(config_path, out, seed)
+    _requested(config, (risk.METHOD_RELAXED_ALLOCATION,))
     sol = _write_zeta(config, out, _load_samples(config, out, samples_path))
     click.echo(f"wrote {out / 'zeta.json'} (objective={sol.objective:.6g})")
 

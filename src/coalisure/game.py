@@ -154,6 +154,10 @@ def incidence(coalitions: Sequence[Coalition], n_agents: int) -> np.ndarray:
     return rows
 
 
+# the fields of a game document; ``to_json_dict`` emits all of them
+_GAME_KEYS = ("schema_version", "n_agents", "grand_value", "uncertainty_dim", "coalitions", "values")
+
+
 def _default_coalitions(n_agents: int) -> tuple[Coalition, ...]:
     """Every proper nonempty subset, in ascending mask order."""
     return tuple(Coalition(mask) for mask in range(1, (1 << n_agents) - 1))
@@ -259,14 +263,16 @@ class GameSpec:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "GameSpec":
-        """Parse a game document; a malformed field raises a
-        :class:`GameSpecError` that names it."""
+        """Parse a game document; a malformed field or an unknown key
+        raises a :class:`GameSpecError` that names it."""
 
         def need(key, what, ok):
             if not ok(doc.get(key)):
                 raise GameSpecError(f"game.{key} must be {what}" if key in doc else f"game.{key} is missing")
             return doc[key]
 
+        if unknown := [key for key in doc if key not in _GAME_KEYS]:
+            raise GameSpecError(f"unknown key {'game.' + unknown[0]!r}; known: {', '.join(_GAME_KEYS)}")
         values = need("values", "an object keyed by coalition labels", lambda v: isinstance(v, Mapping))
         pieces = {}
         for label, forms in values.items():

@@ -239,9 +239,9 @@ def vertices(core: ScenarioCoreDesc) -> list[np.ndarray]:
     * every (N-1)-subset of the rows, when N is below 3 or above
       ``VERTEX_QHULL_AGENTS``, when the Chebyshev radius is within that
       tolerance of 0 (a core of lower dimension, or one empty up to the
-      tolerance), when the structure lacks a singleton or a singleton's
-      complement (the core may be unbounded), when the LP or Qhull fails,
-      or when Qhull's candidates would be no fewer.
+      tolerance), when the structure lacks a singleton (the singletons
+      alone bound the core; without one it may be unbounded), when the LP
+      or Qhull fails, or when Qhull's candidates would be no fewer.
 
     A core whose Chebyshev LP finds every point violating some row by more
     than the tolerance is empty and has no candidates.  Candidates are
@@ -284,9 +284,8 @@ def _qhull_active_sets(core: ScenarioCoreDesc) -> list[tuple[int, ...]] | None:
     n = core.n_agents
     if not 3 <= n <= VERTEX_QHULL_AGENTS:  # Qhull needs 2 dimensions
         return None
-    full = (1 << n) - 1
     masks = {c.mask for c in core.coalitions()}
-    if any(1 << i not in masks or full ^ (1 << i) not in masks for i in range(n)):
+    if any(1 << i not in masks for i in range(n)):
         return None
     a, b = core.constraint_rows()
     # x_N = u - sum(y) turns  a x >= b  into  g y >= h  over y = x_1..x_{N-1}
@@ -294,7 +293,8 @@ def _qhull_active_sets(core: ScenarioCoreDesc) -> list[tuple[int, ...]] | None:
     h = b - a[:, -1] * core.grand_value
     norms = np.sqrt((g * g).sum(axis=1))  # >= 1: every row of g is a nonzero integer vector
     tol = _VERTEX_ACTIVE_TOL * (1.0 + np.abs(h).max())
-    # Chebyshev centre: max r  s.t.  g y - |g| r >= h  (bounded: every x_i is capped)
+    # Chebyshev centre: max r  s.t.  g y - |g| r >= h  (bounded: the singleton
+    # rows bound each y_i below and x_N >= b_N bounds sum(y) above)
     program = lp.LinearProgram.build(-np.eye(1, n, n - 1)[0], a_ge=np.hstack([g, -norms[:, None]]), b_ge=h)
     try:
         out = lp.solve(program)

@@ -124,8 +124,8 @@ def check_prerequisites(spec: GameSpec, counts, epsilon, methods, *, needs_epsil
     ``epsilon`` (if ``needs_epsilon``), every agent in some coalition and
     (if ``ranks``) each K_i >= its support rank."""
     for method in methods:
-        if method not in METHODS:
-            raise ConfigError(f"unknown certificate method {method!r}")
+        if method not in risk.ALL_METHODS:  # a tuple: an unhashable entry is unknown, not a TypeError
+            raise ConfigError(f"unknown certificate method {method!r}; valid: {', '.join(risk.ALL_METHODS)}")
     if risk.METHOD_ALLOCATION_APRIORI not in methods:
         return
     if needs_epsilon and epsilon is None:

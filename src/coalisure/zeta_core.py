@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp, scenario_core
-from .errors import CoalisureError, GameSpecError, LpError
+from .errors import LpError
 from .game import GameSpec
 from .risk import (
     METHOD_RELAXED_ALLOCATION,
@@ -39,7 +39,6 @@ from .risk import (
     summed_certificate,
 )
 from .sampling import PrivateSamples
-from .scenario_core import TightenedBounds
 
 POSITIVE_SLACK_TOL = 1e-7
 
@@ -196,28 +195,3 @@ def zeta_certificate(
 
     return summed_certificate(METHOD_RELAXED_ALLOCATION, split, s_star, counts, level, provenance or {}, warning)
 
-
-def zeta_membership(
-    spec: GameSpec,
-    bounds: TightenedBounds,
-    zeta_bar: tuple[float, ...] | list[float],
-    x,
-    tol: float = lp.TOL,
-) -> bool:
-    """Membership in the relaxed core with per-agent relaxations.
-
-    Each member agent's tightened contribution is relaxed by that agent's
-    own allowance before the outer maximum is taken:
-    ``x(S) >= max over i in S of (agent-i bound for S) - zeta_bar_i``.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.n_agents,):
-        raise GameSpecError("allocation length does not match the agent count")
-    if any(z < 0 for z in zeta_bar):
-        raise CoalisureError("relaxations must be nonnegative")
-    if bounds.coalitions != spec.coalitions:
-        raise GameSpecError("the bounds do not have one row per coalition of the game")
-    if abs(x.sum() - spec.grand_value) > tol:
-        return False
-    relaxed = (bounds.maxima - np.asarray(zeta_bar, dtype=float)).max(axis=1)
-    return not (spec.payoffs(x) < relaxed - tol).any()

@@ -1,4 +1,4 @@
-"""SHA-256 of every `run-all` artifact on nine fixed configs.
+"""SHA-256 of every `run-all` artifact on ten fixed configs.
 
 Run it on two checkouts and diff the outputs; identical output means
 byte-identical artifacts:
@@ -28,7 +28,10 @@ all six methods with 20,000 fresh draws:
   uncertainty, K=50, 3 trials;
 * ``readme-mixture-maxaffine``: the README game with coalition {1,2}
   the max of two affine pieces, under a mixture of a box and a gaussian,
-  K=50, 3 trials.
+  K=50, 3 trials;
+* ``n5-seed1-pairs-k60``: the ``n5-seed1-k200`` game restricted to its
+  singletons and pairs, K=60, 3 trials: a structure without any
+  singleton's complement, whose 11 core vertices Qhull's candidates give.
 
 The last two cover the gaussian and mixture transforms and the
 multi-piece value path; the others are uniform and one-piece.  20,000
@@ -83,6 +86,11 @@ def configs() -> dict[str, dict]:
     mixture["game"]["values"]["1,2"].append({"a": 0.1, "b": [0.2, 1.0]})
     mixture["distribution"] = {"kind": "mixture", "weights": [0.4, 0.6], "components": [workloads.UNIT2, gauss]}
     out["readme-mixture-maxaffine"] = mixture
+    values, grand = workloads.affine_n5_values(1, 0)
+    pairs = {label: form for label, form in values.items() if label.count(",") < 2}
+    sparse = workloads.config_doc(pairs, grand, 60, workloads.derive(1, 1, 0), workloads.derive(1, 2, 0), workloads.METHODS, 3)
+    sparse["game"]["coalitions"] = list(pairs)
+    out["n5-seed1-pairs-k60"] = sparse
     for doc in out.values():
         doc["validation"]["n_fresh"] = FRESH
     return out

@@ -12,7 +12,9 @@ array, where the library streams it in blocks.  The minimal-compression search e
 subsets in increasing size and compares cores by LP.  Compression pins,
 coalition minima, lexicographic selection and the zeta row generation are
 solved with one fresh LP per program, where the library re-solves one
-warm-started model.
+warm-started model.  Relaxed-core membership relaxes each member agent's
+sampled maximum and compares x(S) with the largest, where the library
+builds a scenario core over the relaxed bounds.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from scipy.special import betainc, logsumexp
 
 from coalisure import compression, lp, scenario_core, validation, zeta_core
-from coalisure.errors import CoalisureError, EmptyCoreError, GuardError
+from coalisure.errors import CoalisureError, EmptyCoreError, GameSpecError, GuardError
 from coalisure.game import Coalition, GameSpec, ValueModel
 from coalisure.risk import _PolyTerms, log_binom
 from coalisure.sampling import _FRESH_TAG, PrivateSamples, draw_fresh, draw_private
@@ -725,3 +727,23 @@ def cold_zeta_program(spec, samples):
     zeta = tuple(np.maximum(0.0, g.max(axis=1, initial=-np.inf)) for g in zeta_core._gaps(spec, values, x))
     s_star, s_sens = zeta_core.complexity_counts_from_slacks(zeta)
     return x, zeta, float(sum(z.sum() for z in zeta)), s_star, s_sens
+
+
+def relaxed_membership(spec, bounds, zeta_bar, x, tol=lp.TOL):
+    """Membership in the relaxed core with per-agent relaxations.
+
+    Each member agent's tightened contribution is relaxed by that agent's
+    own allowance before the outer maximum is taken:
+    ``x(S) >= max over i in S of (agent-i bound for S) - zeta_bar_i``.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (spec.n_agents,):
+        raise GameSpecError("allocation length does not match the agent count")
+    if any(z < 0 for z in zeta_bar):
+        raise CoalisureError("relaxations must be nonnegative")
+    if bounds.coalitions != spec.coalitions:
+        raise GameSpecError("the bounds do not have one row per coalition of the game")
+    if abs(x.sum() - spec.grand_value) > tol:
+        return False
+    relaxed = (bounds.maxima - np.asarray(zeta_bar, dtype=float)).max(axis=1)
+    return not (spec.payoffs(x) < relaxed - tol).any()

@@ -1,6 +1,6 @@
 """An explicit beta split must list one number per agent, and the loader
-says so; its sum must be beta, and certify, validate and run-all say so
-before they write anything."""
+says so; its sum must be beta, and certify, zeta, validate and run-all say
+so before they write anything."""
 
 import pytest
 
@@ -49,10 +49,16 @@ def test_split_that_misses_beta_fails_certify(tmp_path):
     assert not (tmp_path / "out" / "certificates.json").exists()
 
 
-@pytest.mark.parametrize("command", ["certify", "validate", "run-all"])
+@pytest.mark.parametrize("command", ["certify", "zeta", "validate", "run-all"])
 def test_split_that_misses_beta_fails_before_any_write(tmp_path, command):
     out = tmp_path / "out"
-    r = run(command, "--config", write_config(tmp_path, beta=0.2, beta_split=[0.01, 0.01, 0.01]), "--out", out)
+    cfg = write_config(tmp_path, beta=0.2, beta_split=[0.01, 0.01, 0.01])
+    if command == "zeta":  # zeta reads a sample set; the split is refused before its artifact is written
+        assert run("generate", "--config", cfg, "--out", out).exit_code == 0
+        (out / "samples.csv").rename(tmp_path / "samples.csv")
+        r = run(command, "--config", cfg, "--out", out, "--samples", tmp_path / "samples.csv")
+    else:
+        r = run(command, "--config", cfg, "--out", out)
     assert r.exit_code == 1, r.output
     assert "error: beta_split sums to 0.03, but beta is 0.2" in r.output
     assert not list(out.iterdir())

@@ -1,11 +1,15 @@
 """Malformed seeds, counts, compression toggles, method lists, game and
-distribution documents are config errors that name their field (exit 2),
-not crashes, silent coercions or silent defaults."""
+distribution documents, unknown keys and other schema versions are config
+errors that name their field (exit 2), not crashes, silent coercions or
+silent defaults."""
+
+import json
 
 import pytest
 
 from coalisure.cli import load_config
 from coalisure.errors import ConfigError
+from coalisure.risk import ALL_METHODS
 
 from test_pipeline import README_GAME, run, write_config
 
@@ -121,3 +125,44 @@ def test_integer_and_float_numbers_still_load(tmp_path):
     config = load_config(write_config(tmp_path, game=doc, distribution=mixture))
     assert config.spec.grand_value == 6.0 and config.spec.n_agents == 3
     assert config.dist.components[1].hi.tolist() == [2.0, 2.0]
+
+
+@pytest.mark.parametrize("methods", [[5], [["core-apriori"]], ["bogus"]], ids=["number", "list", "name"])
+def test_unknown_method_names_the_valid_list(tmp_path, methods):
+    """Method names are checked once, by ``check_prerequisites``: an
+    unhashable entry is an unknown name, not a ``TypeError``."""
+    with pytest.raises(ConfigError, match=f"unknown certificate method .*; valid: {', '.join(ALL_METHODS)}$"):
+        load_config(write_config(tmp_path, methods=methods))
+
+
+UNKNOWN_KEYS = {
+    "top-level": ({"beta_splt": [0.05, 0.05, 0.1]}, "'beta_splt'"),
+    "validation": ({"validation": {**VALIDATION, "trails": 3}}, "'validation.trails'"),
+    "compression": ({"compression": {"efficency": False}}, "'compression.efficency'"),
+    "game": (game(coalitons=["1", "2", "1,2"]), "'game.coalitons'"),
+}
+
+
+@pytest.mark.parametrize("case", UNKNOWN_KEYS.values(), ids=UNKNOWN_KEYS.keys())
+def test_unknown_key_is_named(tmp_path, case):
+    overrides, key = case
+    with pytest.raises(ConfigError, match=f"unknown key {key}"):
+        load_config(write_config(tmp_path, **overrides))
+    r = run("generate", "--config", write_config(tmp_path, **overrides), "--out", tmp_path / "out")
+    assert r.exit_code == 2 and key in r.output, r.output
+    assert not (tmp_path / "out" / "samples.csv").exists()
+
+
+@pytest.mark.parametrize("version", [99, 0, "1", True, 1.0])
+def test_schema_version_other_than_one_is_refused(tmp_path, version):
+    with pytest.raises(ConfigError, match="schema_version must be 1"):
+        load_config(write_config(tmp_path, schema_version=version))
+
+
+def test_schema_version_may_be_absent_and_the_game_may_carry_one(tmp_path):
+    path = write_config(tmp_path)
+    doc = json.loads(path.read_text())
+    del doc["schema_version"]
+    path.write_text(json.dumps(doc))
+    spec = load_config(path).spec
+    assert load_config(write_config(tmp_path, game=spec.to_json_dict())).spec.to_json_dict() == spec.to_json_dict()

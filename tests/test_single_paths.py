@@ -184,12 +184,6 @@ class TestRelaxedCoreErrors:
 
     def test_membership_allocation_length(self):
         spec, samples = tied_game()
-        bounds = sc.tighten(spec, samples)
+        core = sc.build(spec, sc.tighten(spec, samples))
         with pytest.raises(GameSpecError):
-            zc.zeta_membership(spec, bounds, (0.0, 0.0, 0.0), [20.0, 20.0])
-
-    def test_membership_negative_relaxation(self):
-        spec, samples = tied_game()
-        bounds = sc.tighten(spec, samples)
-        with pytest.raises(CoalisureError):
-            zc.zeta_membership(spec, bounds, (0.0, -0.5, 0.0), [10.0, 10.0, 20.0])
+            sc.contains(core, [20.0, 20.0])

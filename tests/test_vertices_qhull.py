@@ -231,3 +231,51 @@ def test_convex_seven_agent_core(monkeypatch):
     expected = loop_basic_points(core, streams[0])
     assert len(expected) == len(verts)
     assert all(np.array_equal(x, y) for x, y in zip(verts, expected))
+
+
+def partial_core(rng, n_agents, sizes, keep, seed, slack=2.0):
+    """A sampled core over every singleton and, of the coalitions whose size
+    is in ``sizes``, each with probability ``keep``; no singleton's
+    complement unless ``sizes`` names it."""
+    spec = random_full_game(rng, n_agents, slack)
+    structure = tuple(c for c in spec.coalitions if c.size == 1 or (c.size in sizes and rng.random() < keep))
+    return sampled_core(GameSpec(n_agents, spec.grand_value, spec.value_model, coalitions=structure), 4, seed)
+
+
+@pytest.mark.parametrize("n_agents", [3, 4, 5, 6])
+def test_singletons_without_complements_take_qhull(full_stream, n_agents):
+    """The singletons alone bound the core, so Qhull serves a structure
+    without any singleton's complement; the list is the loop's, bit for bit.
+    At N=3 such a structure is the three singletons, whose three subsets
+    Qhull's candidates cannot undercut, so the full stream solves them."""
+    rng = np.random.default_rng(900 + n_agents)
+    sizes = range(2, n_agents - 1)
+    for trial in range(4):
+        core = partial_core(rng, n_agents, sizes, 0.5 if n_agents < 6 else 0.3, 9100 + trial)
+        assert all(c.size < n_agents - 1 for c in core.coalitions())
+        assert sc._qhull_active_sets(core) is not None
+        assert len(assert_same_vertices(core)) >= n_agents
+    assert full_stream == ([(3, 2)] * 4 if n_agents == 3 else [])
+
+
+def test_seven_agents_over_singletons_and_pairs(full_stream):
+    """28 rows: Qhull's candidates give the full stream's list, bit for bit."""
+    core = partial_core(np.random.default_rng(907), 7, (2,), 1.0, 97)
+    m = len(core.constraint_rows()[1])
+    verts = sc.vertices(core)
+    assert m == 28 and not full_stream
+    expected = sc._basic_points(core, combinations(range(m), 6))
+    assert len(verts) == len(expected) >= 7
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(verts, expected))
+
+
+def test_eight_agents_over_singletons_pairs_and_triples(full_stream):
+    """92 rows: C(92, 7) subsets are beyond the guard, Qhull's candidates
+    are not; every vertex lies in the core and none is missed."""
+    rng = np.random.default_rng(908)
+    core = partial_core(rng, 8, (2, 3), 1.0, 98)
+    assert len(core.constraint_rows()[1]) == 92 and comb(92, 7) > sc.VERTEX_SUBSET_LIMIT
+    verts = sc.vertices(core)
+    assert len(verts) >= 8 and not full_stream
+    assert all(sc.contains(core, v) for v in verts)
+    assert max(support_gaps(core, verts, rng.normal(size=(20, 8)))) <= 1e-7

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from coalisure import lp
 from coalisure import scenario_core as sc
 from coalisure import zeta_core as zc
 from coalisure.game import Coalition, GameSpec, ValueModel
 from coalisure.risk import BetaSplit
 from coalisure.sampling import DistributionSpec, PrivateSamples, draw_private
 
-from oracles import enumerate_lp_vertices, random_affine_game
+from oracles import enumerate_lp_vertices, random_affine_game, relaxed_membership
 
 C1, C2 = Coalition.of(0), Coalition.of(1)
 UNIT2 = DistributionSpec.uniform([0.0, 0.0], [1.0, 1.0])
@@ -176,30 +177,53 @@ class TestCertificate:
         assert clean.warning is None
 
 
+def relaxed_core(spec, bounds, zeta_bar):
+    """The ζ-core: the scenario core with each agent's maxima lowered by its
+    relaxation (the ``-inf`` entries off the members stay ``-inf``)."""
+    relaxed = bounds.maxima - np.asarray(zeta_bar, dtype=float)
+    return sc.build(spec, sc.TightenedBounds(bounds.coalitions, relaxed, bounds.argmax))
+
+
 class TestMembership:
-    def test_zero_relaxation_matches_core_membership(self):
+    def test_contains_matches_relaxed_membership(self):
+        """60 games x 3 relaxations (none, the game's own zeta-bar, a random
+        one) x 40 points: the scenario core over relaxed bounds gives the
+        reference's verdict on every point, x* with its own zeta-bar at tol
+        1e-7 among them, and with no relaxation the plain core's too."""
         rng = np.random.default_rng(30)
-        spec = random_affine_game(rng, regime="nonempty")
-        samples = draw_private(UNIT2, (5, 5, 5), 17)
-        tb = sc.tighten(spec, samples)
-        core = sc.build(spec, tb)
-        for _ in range(100):
-            x = rng.uniform(-1, spec.grand_value, size=3)
-            x[-1] = spec.grand_value - x[:-1].sum()
-            assert zc.zeta_membership(spec, tb, (0.0, 0.0, 0.0), x) == sc.contains(core, x)
+        verdicts = []
+        for game in range(60):
+            spec = random_affine_game(rng, regime=("nonempty", "empty", "mixed")[game % 3])
+            samples = draw_private(UNIT2, (5, 5, 5), 1700 + game)
+            tb = sc.tighten(spec, samples)
+            sol = zc.solve_zeta_program(spec, samples)
+            for relax in ((0.0, 0.0, 0.0), sol.zeta_bar, tuple(rng.uniform(0.0, 1.0, size=3))):
+                core = relaxed_core(spec, tb, relax)
+                points = sol.x_star + rng.normal(scale=rng.choice([0.05, 0.5, 2.0]), size=(40, 3))
+                points[:, -1] = spec.grand_value - points[:, :-1].sum(axis=1)
+                points[0] = sol.x_star
+                points[1, 0] += 1e-3  # off the efficiency plane
+                for p, x in enumerate(points):
+                    tol = 1e-7 if p == 0 else lp.TOL
+                    verdict = sc.contains(core, x, tol=tol)
+                    assert verdict == relaxed_membership(spec, tb, relax, x, tol=tol), (game, relax, x)
+                    if relax == (0.0, 0.0, 0.0):
+                        assert verdict == sc.contains(sc.build(spec, tb), x, tol=tol)
+                    verdicts.append(verdict)
+        assert len(verdicts) == 7200
+        assert 0 < sum(verdicts) < len(verdicts)
 
     def test_huge_relaxation_admits_everything_efficient(self):
         rng = np.random.default_rng(31)
         spec = random_affine_game(rng, regime="empty")
         samples = draw_private(UNIT2, (4, 4, 4), 18)
-        tb = sc.tighten(spec, samples)
-        big = (1e6, 1e6, 1e6)
+        core = relaxed_core(spec, sc.tighten(spec, samples), (1e6, 1e6, 1e6))
         for _ in range(50):
             x = rng.uniform(-5, 5, size=3)
             x[-1] = spec.grand_value - x[:-1].sum()
-            assert zc.zeta_membership(spec, tb, big, x)
+            assert sc.contains(core, x)
         y = np.zeros(3)  # inefficient unless the grand value is 0
-        assert zc.zeta_membership(spec, tb, big, y) == (abs(spec.grand_value) <= 1e-9)
+        assert sc.contains(core, y) == (abs(spec.grand_value) <= 1e-9)
 
     def test_solution_is_member_with_its_own_relaxations(self):
         rng = np.random.default_rng(32)
@@ -207,8 +231,8 @@ class TestMembership:
             spec = random_affine_game(rng, regime="empty")
             samples = draw_private(UNIT2, (5, 5, 5), 60 + trial)
             sol = zc.solve_zeta_program(spec, samples)
-            tb = sc.tighten(spec, samples)
-            assert zc.zeta_membership(spec, tb, sol.zeta_bar, sol.x_star, tol=1e-7)
+            core = relaxed_core(spec, sc.tighten(spec, samples), sol.zeta_bar)
+            assert sc.contains(core, sol.x_star, tol=1e-7)
 
 
 class TestRowsAsTriplets:
