@@ -34,7 +34,13 @@ _FRESH_TAG = 0x2FE54
 # memory under 1 MiB at N=5.
 _FRESH_BLOCK = 16384
 
-_KINDS = ("uniform", "gaussian", "mixture")
+# each kind's document keys, as ``to_json_dict`` writes them
+_KIND_KEYS = {
+    "uniform": ("kind", "lo", "hi"),
+    "gaussian": ("kind", "mean", "cov"),
+    "mixture": ("kind", "weights", "components"),
+}
+_KINDS = tuple(_KIND_KEYS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,8 +167,8 @@ class DistributionSpec:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "DistributionSpec":
-        """Parse a distribution document; a malformed field raises a
-        :class:`DistributionError` that names it."""
+        """Parse a distribution document; a malformed field or an unknown
+        key raises a :class:`DistributionError` that names it."""
 
         def parse(doc, where: str) -> DistributionSpec:
             if not isinstance(doc, Mapping):
@@ -175,16 +181,18 @@ class DistributionSpec:
                 return doc[key]
 
             kind = doc.get("kind")
+            if kind not in _KINDS:  # a tuple: an unhashable kind is unknown, not a TypeError
+                raise DistributionError(f"{where}.kind must be one of {', '.join(_KINDS)}, not {kind!r}")
+            if unknown := [key for key in doc if key not in _KIND_KEYS[kind]]:
+                raise DistributionError(f"unknown key {f'{where}.{unknown[0]}'!r}; known: {', '.join(_KIND_KEYS[kind])}")
             if kind == "uniform":
                 return cls.uniform(numbers("lo"), numbers("hi"))
             if kind == "gaussian":
                 return cls.gaussian(numbers("mean"), numbers("cov", 2))
-            if kind == "mixture":
-                if not isinstance(doc.get("components"), list):
-                    raise DistributionError(f"{where}.components must be a list of distributions")
-                parts = [parse(c, f"{where}.components[{i}]") for i, c in enumerate(doc["components"])]
-                return cls.mixture(numbers("weights"), parts)
-            raise DistributionError(f"{where}.kind must be one of {', '.join(_KINDS)}, not {kind!r}")
+            if not isinstance(doc.get("components"), list):
+                raise DistributionError(f"{where}.components must be a list of distributions")
+            parts = [parse(c, f"{where}.components[{i}]") for i, c in enumerate(doc["components"])]
+            return cls.mixture(numbers("weights"), parts)
 
         return parse(doc, "distribution")
 

@@ -67,8 +67,8 @@ def clopper_pearson(hits: int, n: int, confidence: float = CP_CONFIDENCE) -> tup
 class SampleSet:
     """Everything one private multi-sample determines, each computed at most
     once: the scenario core, its lexicographic allocation, the compression
-    set and the slack-minimizing solution.  Every coverage trial builds its
-    own, so threads share none."""
+    set and the slack-minimizing solution, at that allocation unless the
+    core is empty.  Every coverage trial builds its own, so threads share none."""
 
     spec: GameSpec
     samples: PrivateSamples
@@ -88,7 +88,11 @@ class SampleSet:
 
     @cached_property
     def zeta(self) -> zeta_core.ZetaSolution:
-        return zeta_core.solve_zeta_program(self.spec, self.samples)
+        try:
+            x = self.allocation
+        except EmptyCoreError:
+            return zeta_core.solve_zeta_program(self.spec, self.samples)
+        return zeta_core.solution_at(self.spec, self.samples, x)
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,16 @@ pushes against stability, and the count of strictly positive slacks per
 agent feeds the polynomial certificate.  One slack per (agent, sample) is
 shared across that sample's coalition constraints.
 
-The LP is solved by row generation: starting from each coalition's
-currently-binding sample rows, violated (agent, sample, coalition) rows
-are added until none remain, which yields the exact optimum of the full
-program.  A lexicographic tie-break over x selects one optimal point, up to
-its 1e-9 caps (see :func:`solve_zeta_program`).  Both run in one
-:meth:`lp.Model.lexmin` call: the total slack, then x_1, ..., x_N, each
-under row generation.
+The LP serves empty cores only.  On a non-empty core its optimal face at
+zero slack is the core itself (the rows say x(S) >= the tightened bound of
+S), and its tie-break is the lexicographic allocation's, so callers take
+that allocation and :func:`solution_at` instead.  The LP is solved by row
+generation: starting from each coalition's currently-binding sample rows,
+violated (agent, sample, coalition) rows are added until none remain, which
+yields the exact optimum of the full program.  A lexicographic tie-break
+over x selects one optimal point, up to its 1e-9 caps (see
+:func:`solve_zeta_program`).  Both run in one :meth:`lp.Model.lexmin`
+call: the total slack, then x_1, ..., x_N, each under row generation.
 """
 
 from __future__ import annotations
@@ -94,6 +97,7 @@ def solve_zeta_program(spec: GameSpec, samples: PrivateSamples) -> ZetaSolution:
     to the tie-break band: the total slack and each minimized coordinate are
     capped at their optimum plus 1e-9, HiGHS's feasibility tolerance, so two
     valid solve paths can return x* up to about 2e-9 apart on tied values.
+    On a non-empty core x is the lexicographic allocation within that band.
     """
     n = spec.n_agents
     values = scenario_core.value_table(spec, samples)
@@ -143,9 +147,13 @@ def solve_zeta_program(spec: GameSpec, samples: PrivateSamples) -> ZetaSolution:
     out = lp.Model(program).lexmin(np.vstack([objective, np.eye(n, n_vars)]), violated)
     if not out.is_optimal:
         raise LpError(f"slack program came back {out.status}")
-    x = out.x[:n]
+    return solution_at(spec, samples, out.x[:n])
 
-    # the pointwise minimal slacks for x: max(0, u - x(S)) per sample
+
+def solution_at(spec: GameSpec, samples: PrivateSamples, x: np.ndarray) -> ZetaSolution:
+    """The solution at the allocation ``x``: the pointwise minimal slacks
+    max(0, u - x(S)) per sample and the counts they give."""
+    values = scenario_core.value_table(spec, samples)
     zeta = tuple(np.maximum(0.0, g.max(axis=1, initial=-np.inf)) for g in _gaps(spec, values, x))
     s_star, s_sens = complexity_counts_from_slacks(zeta)
     return ZetaSolution(

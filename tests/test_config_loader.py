@@ -4,6 +4,7 @@ errors that name their field (exit 2), not crashes, silent coercions or
 silent defaults."""
 
 import json
+import re
 
 import pytest
 
@@ -151,6 +152,37 @@ def test_unknown_key_is_named(tmp_path, case):
     r = run("generate", "--config", write_config(tmp_path, **overrides), "--out", tmp_path / "out")
     assert r.exit_code == 2 and key in r.output, r.output
     assert not (tmp_path / "out" / "samples.csv").exists()
+
+
+GAUSS2 = {"kind": "gaussian", "mean": [0.5, 0.5], "cov": [[0.04, 0.0], [0.0, 0.09]]}
+UNKNOWN_DISTRIBUTION_KEYS = {
+    "uniform": ({**UNIT2, "mean": [0.0, 0.0]}, "'distribution.mean'; known: kind, lo, hi"),
+    "gaussian": ({**GAUSS2, "lo": [0.0, 0.0], "hi": [1.0, 1.0]}, "'distribution.lo'; known: kind, mean, cov"),
+    "mixture": (
+        {"kind": "mixture", "weights": [1.0], "components": [UNIT2], "weight": [1.0]},
+        "'distribution.weight'; known: kind, weights, components",
+    ),
+    "component": (
+        {"kind": "mixture", "weights": [0.5, 0.5], "components": [UNIT2, {**GAUSS2, "wieghts": [1.0]}]},
+        "'distribution.components[1].wieghts'; known: kind, mean, cov",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", UNKNOWN_DISTRIBUTION_KEYS.values(), ids=UNKNOWN_DISTRIBUTION_KEYS.keys())
+def test_unknown_distribution_key_is_named(tmp_path, case):
+    dist, message = case
+    with pytest.raises(ConfigError, match=re.escape(f"unknown key {message}")):
+        load_config(write_config(tmp_path, distribution=dist))
+
+
+def test_unknown_distribution_key_exits_2_before_any_write(tmp_path):
+    dist, message = UNKNOWN_DISTRIBUTION_KEYS["component"]
+    out = tmp_path / "out"
+    r = run("generate", "--config", write_config(tmp_path, distribution=dist), "--out", out)
+    assert r.exit_code == 2, r.output
+    assert "config error" in r.output and message in r.output
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("version", [99, 0, "1", True, 1.0])

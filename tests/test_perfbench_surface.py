@@ -2,16 +2,17 @@
 
 ``perfbench/tracer.py`` wraps functions by (module, attribute) name, and
 the ``relaxed-n3-k200`` workload replaces ``zeta_core.solve_zeta_program``
-with a hook that takes exactly ``(spec, samples)``.  The correctness gate
-of ``runall-n5-k200`` loads the config with ``cli.load_config``, reads
-``samples.csv`` back and calls ``scenario_core.build``/``tighten``/
-``contains`` and ``compression.compression_reproduces_bounds``.  The
+with a hook that takes exactly ``(spec, samples)``, which sample sets call
+on empty cores only.  The correctness gate of ``runall-n5-k200`` loads the
+config with ``cli.load_config``, reads ``samples.csv`` back and calls
+``scenario_core.build``/``tighten``/``contains`` and
+``compression.compression_reproduces_bounds``.  The
 trial workloads build a ``validation.CoverageConfig`` from keywords read
 off a ``cli.load_config`` result and call ``validation.run_trial`` on it.
 Renaming a traced function or changing one of those calls breaks
 ``perfbench/run.py`` at run time; these tests make it fail here instead.
-The perfbench files are parsed, not imported, so nothing under
-``perfbench/`` is touched.
+The perfbench files are parsed, or imported without writing bytecode, so
+nothing under ``perfbench/`` is touched.
 """
 
 import ast
@@ -26,6 +27,7 @@ from coalisure import cli, compression, risk, scenario_core, validation, zeta_co
 from coalisure.game import GameSpec
 from coalisure.sampling import DistributionSpec, draw_private, samples_from_csv
 
+from test_benchmark_gates import load_workloads, workload_game
 from test_pipeline import README_GAME, run, write_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -53,6 +55,8 @@ def test_every_traced_target_resolves():
 
 
 def test_sample_set_calls_the_zeta_program_with_two_arguments(monkeypatch):
+    """The hook sees empty cores only: the acceptance suite's empty-core
+    game (grand value 3.8) calls it once, the README game never."""
     solve = zeta_core.solve_zeta_program
     seen = []
 
@@ -61,10 +65,14 @@ def test_sample_set_calls_the_zeta_program_with_two_arguments(monkeypatch):
         return solve(spec, samples)
 
     monkeypatch.setattr(zeta_core, "solve_zeta_program", capture)
-    spec = GameSpec.from_json_dict(README_GAME)
-    samples = draw_private(DistributionSpec.uniform([0.0, 0.0], [1.0, 1.0]), (6, 6, 6), 11)
-    sampled = validation.SampleSet(spec, samples, compression.CompressionMode.default())
+    empty = workload_game(load_workloads().EMPTY_CORE_VALUES, 3.8)
+    unit = DistributionSpec.uniform([0.0, 0.0], [1.0, 1.0])
+    mode = compression.CompressionMode.default()
+    sampled = validation.SampleSet(empty, draw_private(unit, (20, 20, 20), 11), mode)
     assert np.isfinite(sampled.zeta.objective)
+    assert seen == [11]
+    readme = validation.SampleSet(GameSpec.from_json_dict(README_GAME), draw_private(unit, (6, 6, 6), 12), mode)
+    assert np.isfinite(readme.zeta.objective)
     assert seen == [11]
 
 

@@ -68,8 +68,9 @@ class TestRunAllIsTheSubcommands:
             assert (together / name).read_bytes() == (apart / name).read_bytes(), name
 
     def test_compression_and_zeta_run_once_per_sample_set(self, tmp_path, monkeypatch):
-        calls = {"compress": 0, "zeta": 0}
-        compress_all, solve_zeta = compression.compress_all, zeta_core.solve_zeta_program
+        calls = {"compress": 0, "zeta": 0, "zeta_program": 0}
+        compress_all, solution_at = compression.compress_all, zeta_core.solution_at
+        solve_zeta = zeta_core.solve_zeta_program
 
         def counted_compress(*args, **kwargs):
             calls["compress"] += 1
@@ -77,18 +78,24 @@ class TestRunAllIsTheSubcommands:
 
         def counted_zeta(*args, **kwargs):
             calls["zeta"] += 1
+            return solution_at(*args, **kwargs)
+
+        def counted_program(*args, **kwargs):
+            calls["zeta_program"] += 1
             return solve_zeta(*args, **kwargs)
 
         monkeypatch.setattr(compression, "compress_all", counted_compress)
-        monkeypatch.setattr(zeta_core, "solve_zeta_program", counted_zeta)
+        monkeypatch.setattr(zeta_core, "solution_at", counted_zeta)
+        monkeypatch.setattr(zeta_core, "solve_zeta_program", counted_program)
         cfg = write_config(tmp_path)
         r = run(
             "run-all", "--config", cfg, "--out", tmp_path / "out", "--trials", "1",
             "--method", risk.METHOD_CORE_APOSTERIORI, "--method", risk.METHOD_RELAXED_ALLOCATION,
         )
         assert r.exit_code == 0, r.output
-        # one for the pipeline's sample set, one for the single coverage trial
-        assert calls == {"compress": 2, "zeta": 2}
+        # one for the pipeline's sample set, one for the single coverage
+        # trial; the README game's core is never empty, so no ζ program
+        assert calls == {"compress": 2, "zeta": 2, "zeta_program": 0}
 
     def test_invalid_beta_split_fails_certify(self, tmp_path):
         cfg = write_config(tmp_path, beta_split=[0.5, 0.5, 0.5])
