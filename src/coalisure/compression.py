@@ -7,7 +7,9 @@ polytope P_i (every such coalition's constraint at the agent's sampled
 maximum) still has a point with that coalition's constraint at equality.
 If it has, the maximizing sample is essential and joins the compression
 set.  The union over agents is a valid compression, though in general not
-a minimal one.
+a minimal one.  Every agent's polytope is decided in one :class:`lp.Model`
+per sample set, with far fewer solves than coalitions (see
+:func:`compress_all`).
 """
 
 from __future__ import annotations
@@ -90,43 +92,66 @@ def compress_agent(
     agent: int,
     mode: CompressionMode = CompressionMode.default(),
 ) -> tuple[list[int], dict[int, tuple[Coalition, ...]]]:
-    """One agent's compression indices and the coalitions that recruited them.
-
-    For each coalition S' the agent may join, the program that holds S' at
-    the agent's sampled maximum while every other coalition of the agent
-    keeps its inequality is feasible exactly when the minimum of x(S') over
-    P_i is at most that maximum + ``lp.TOL`` (see :mod:`lp`); then the
-    maximizing sample (the lowest index among ties) is essential.  All the
-    minima come from one :meth:`lp.Model.minima` over the agent's rows; an
-    empty P_i recruits nothing after one solve.
-    """
-    top, first = scenario_core.column_maxima(scenario_core.value_table(spec, samples)[agent])
-    n = spec.n_agents
-    rows = spec.incidence[spec.allowed_rows(agent)]
-    minima = lp.Model(
-        lp.LinearProgram.build(
-            np.zeros(n),
-            a_eq=[np.ones(n)] if mode.efficiency else None,
-            b_eq=[spec.grand_value] if mode.efficiency else None,
-            a_ge=rows,
-            b_ge=top,
-            lower_bounds=np.zeros(n) if mode.nonnegative else None,
-        )
-    ).minima(rows)
-    picked: dict[int, list[Coalition]] = {}
-    if minima is not None:
-        for j in np.flatnonzero(minima <= top + lp.TOL):
-            picked.setdefault(int(first[j]), []).append(spec.allowed(agent)[j])
-    indices = sorted(picked)
-    return indices, {k: tuple(picked[k]) for k in indices}
+    """One agent's compression indices and the coalitions that recruited
+    them, decided as :func:`compress_all` decides them, in a model of its own."""
+    return _compress(spec, samples, mode, [agent])[0]
 
 
 def compress_all(
     spec: GameSpec, samples: PrivateSamples, mode: CompressionMode = CompressionMode.default()
 ) -> CompressionSet:
-    """Run the per-agent compression for every agent and merge the results."""
-    found = [compress_agent(spec, samples, agent, mode) for agent in range(spec.n_agents)]
+    """Every agent's compression, in one :class:`lp.Model` over the rows of
+    ``spec.incidence``: for agent i, :meth:`lp.Model.set_lower` gives the
+    agent's rows its sampled maxima and frees the others, so the model is
+    P_i, warm from the previous agent's basis.
+
+    Coalition S' recruits its maximizing sample (the lowest index among
+    ties) when P_i with S' held at its maximum is feasible, that is when
+    the minimum of x(S') over P_i is at most the maximum + ``lp.TOL`` (see
+    :mod:`lp`).  Coalitions go largest first (stably); a solve also recruits
+    every row within ``lp.TOL`` of its bound at the returned point, the
+    same evidence a solve of the row gives: a checked HiGHS optimum over
+    P_i.  An empty P_i recruits nothing; recruiters are in coalition order.
+    """
+    found = _compress(spec, samples, mode, range(spec.n_agents))
     return CompressionSet(tuple(tuple(ix) for ix, _ in found), tuple(rec for _, rec in found), mode.tag)
+
+
+def _compress(spec: GameSpec, samples: PrivateSamples, mode: CompressionMode, agents) -> list:
+    n, m = spec.n_agents, len(spec.coalitions)
+    model = lp.Model(
+        lp.LinearProgram.build(
+            np.zeros(n),
+            a_eq=[np.ones(n)] if mode.efficiency else None,
+            b_eq=[spec.grand_value] if mode.efficiency else None,
+            a_ge=spec.incidence,
+            b_ge=np.zeros(m),  # replaced agent by agent
+            lower_bounds=np.zeros(n) if mode.nonnegative else None,
+        )
+    )
+    found = []
+    for agent in agents:
+        top, first = scenario_core.column_maxima(scenario_core.value_table(spec, samples)[agent])
+        rows, allowed = spec.allowed_rows(agent), spec.allowed(agent)
+        b_ge = np.full(m, -np.inf)
+        b_ge[rows] = top
+        model.set_lower(b_ge)
+        held = np.zeros(rows.size, dtype=bool)
+        for j in sorted(range(rows.size), key=lambda j: -allowed[j].size):
+            if held[j]:
+                continue
+            out = model.minimize(spec.incidence[rows[j]])
+            if out.status == lp.INFEASIBLE:
+                held[:] = False
+                break
+            if out.is_optimal:
+                held |= out.slack_ge[rows] <= lp.TOL
+            held[j] = not out.is_optimal or out.objective <= top[j] + lp.TOL  # unbounded below, or within TOL
+        picked: dict[int, list[Coalition]] = {}
+        for j in np.flatnonzero(held):
+            picked.setdefault(int(first[j]), []).append(allowed[j])
+        found.append((sorted(picked), {k: tuple(picked[k]) for k in sorted(picked)}))
+    return found
 
 
 def rebuild_bounds(

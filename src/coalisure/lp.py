@@ -35,14 +35,15 @@ point a cold solve returns.)  ``solve`` and ``feasible`` are one-shot
 models.
 
 :meth:`Model.minima` minimizes each row of a matrix in turn, for the
-core's coalition minima and for compression.  Where ``r.x >= b`` is a row
-of the system, the system with that row held at equality is feasible
-exactly when the minimum of ``r.x`` is at most ``b + TOL``: HiGHS holds
-both programs to the same ``TOL``, and its verdicts on the equality
-program agree with this test at gaps of 5e-10 and 9e-10 (feasible) and
-1.1e-9 and above (infeasible), with values scaled from 1e-3 to 1e5.  So
-such a family costs one warm re-solve per row, and an empty system one
-solve.  Both deterministic selections (the lexicographic core allocation
+core's coalition minima; :meth:`Model.set_lower` replaces the ``>=`` rows'
+right-hand sides, so compression decides every agent in one model.  Where
+``r.x >= b`` is a row of the system, the system with that row held at
+equality is feasible exactly when the minimum of ``r.x`` is at most ``b +
+TOL``: HiGHS holds both programs to the same ``TOL``, and its verdicts on
+the equality program agree with this test at gaps of 5e-10 and 9e-10
+(feasible) and 1.1e-9 and above (infeasible), with values scaled from
+1e-3 to 1e5.  So such a family costs at most one warm re-solve per row,
+and an empty system one solve.  Both deterministic selections (the lexicographic core allocation
 and the zeta program) are one :meth:`Model.lexmin`: for each cost c_j in
 turn, minimize it, append the rows a callback finds violated and re-solve
 until it finds none, then cap ``-c_j.x >= -(optimum + TOL)`` before
@@ -51,9 +52,9 @@ c_{j+1}.
 With one thread and HiGHS's fixed default random seed, a model's answers
 are a function of its program and of the sequence of re-solves before
 them: identical inputs solved in the same order give bit-identical
-solutions, and callers fix that order (coalition minima and compression
-rows in coalition order).  A warm answer may differ in the last bits from
-a cold solve of the same program.
+solutions, and callers fix that order (coalition minima in coalition
+order; compression agent by agent, largest coalition first).  A warm
+answer may differ in the last bits from a cold solve of the same program.
 
 Model status ``kOptimal``, ``kInfeasible`` and ``kUnbounded`` map to
 ``OPTIMAL``, ``INFEASIBLE`` and ``UNBOUNDED``.  ``kUnboundedOrInfeasible``
@@ -240,8 +241,9 @@ class Model:
 
     Built from a :class:`LinearProgram`, it re-solves under a new cost
     (:meth:`minimize`), under each row of a matrix as the cost
-    (:meth:`minima`), after ``>=`` rows are appended (:meth:`add_rows`) and
-    through a sequence of capped costs (:meth:`lexmin`); each re-solve
+    (:meth:`minima`), after ``>=`` rows are appended (:meth:`add_rows`) or
+    their right-hand sides replaced (:meth:`set_lower`) and through a
+    sequence of capped costs (:meth:`lexmin`); each re-solve
     starts from the basis the previous one left.  ``program``
     is the current system, its rows held as the :class:`Rows` HiGHS was
     given, so outcomes report slacks for every row.  A model is not shared
@@ -305,6 +307,17 @@ class Model:
             raise LpError("constraint matrix/vector row counts disagree")
         self._add_rows(a, b, np.full(b.size, np.inf))
         self.program = replace(p, a_ge=p.a_ge.stack(a), b_ge=np.concatenate([p.b_ge, b]))
+
+    def set_lower(self, b_ge) -> None:
+        """Replace the ``>=`` rows' right-hand sides (``-inf`` frees a row),
+        one ``changeRowBounds`` per row; the basis is kept."""
+        p = self.program
+        b = np.asarray(b_ge, dtype=float).ravel()
+        if b.size != p.b_ge.size or np.isnan(b).any() or np.isposinf(b).any():
+            raise LpError(f"b_ge must be {p.b_ge.size} numbers, finite or -inf")
+        for r, lower in enumerate(b.tolist(), start=p.b_eq.size):  # HiGHS holds the = rows first
+            self._accept(self._highs.changeRowBounds(r, lower, np.inf))
+        self.program = replace(p, b_ge=b)
 
     def _add_rows(self, a: Rows, lower: np.ndarray, upper: np.ndarray) -> None:
         """Append the rows ``lower <= a x <= upper``."""

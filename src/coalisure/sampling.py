@@ -270,15 +270,12 @@ _CSV_HEADER = ("agent_id", "sample_index")
 
 
 def samples_to_csv(samples: PrivateSamples) -> str:
-    """One row per sample: 1-based agent id, 1-based index, components."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    dim = samples.dim
-    writer.writerow(list(_CSV_HEADER) + [f"xi{j + 1}" for j in range(dim)])
-    for agent, matrix in enumerate(samples.per_agent):
-        for index, row in enumerate(matrix):
-            writer.writerow([agent + 1, index + 1] + [repr(float(v)) for v in row])
-    return buf.getvalue()
+    """One row per sample: 1-based agent id, 1-based index, components
+    (``repr`` of each float; no field needs CSV quoting)."""
+    lines = [",".join([*_CSV_HEADER, *(f"xi{j + 1}" for j in range(samples.dim))])]
+    for agent, matrix in enumerate(samples.per_agent, 1):
+        lines += (f"{agent},{index},{','.join(map(repr, row))}" for index, row in enumerate(matrix.tolist(), 1))
+    return "\n".join(lines) + "\n"
 
 
 def samples_from_csv(text: str, master_seed: int = 0) -> PrivateSamples:

@@ -237,21 +237,23 @@ def estimate_violations(
     All maps share one fresh draw, streamed block by block
     (:func:`~coalisure.sampling.fresh_blocks`), and one evaluation of every
     coalition's values per block; no values are kept beyond the coalition
-    being compared, and no draws beyond the block.
+    being compared, and no draws beyond the block.  Arrays with equal bytes
+    give equal comparisons, so each distinct array is compared once.
     """
-    hits = [0] * len(thresholds)
+    distinct = {lims.tobytes(): lims for lims in thresholds}
+    hits = [0] * len(distinct)
     for block in fresh_blocks(dist, n, seed):
-        flags = [np.zeros(block.shape[0], dtype=bool) for _ in thresholds]
+        flags = [np.zeros(block.shape[0], dtype=bool) for _ in distinct]
         for row, coalition in enumerate(spec.coalitions):
             vals = spec.value_model.value_batch(coalition, block)
-            for hit, lims in zip(flags, thresholds):
+            for hit, lims in zip(flags, distinct.values()):
                 hit |= vals > lims[row]
         hits = [total + int(np.count_nonzero(hit)) for total, hit in zip(hits, flags)]
-    out = []
-    for count in hits:
+    found = {}
+    for key, count in zip(distinct, hits):
         lo, hi = clopper_pearson(count, n)
-        out.append(ViolationEstimate(count / n, int(n), count, lo, hi, int(seed)))
-    return out
+        found[key] = ViolationEstimate(count / n, int(n), count, lo, hi, int(seed))
+    return [found[lims.tobytes()] for lims in thresholds]
 
 
 def estimate_allocation_instability(

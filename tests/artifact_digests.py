@@ -5,6 +5,12 @@ byte-identical artifacts:
 
     python tests/artifact_digests.py > after.txt
 
+Names on the command line restrict the run to those configs, in the
+order given.  ``artifact_digests.golden`` holds the output for
+``readme readme-sign-on n5-seed2-k60``, and a tier-1 test
+(``test_artifact_digests.py``) recomputes it: a change that moves an
+artifact updates that file and says why.
+
 The checkout's own ``src/`` is imported, so copying this file into
 another checkout's ``tests/`` measures that checkout.  Every config runs
 all six methods with 20,000 fresh draws:
@@ -54,7 +60,11 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from coalisure import cli  # noqa: E402
+
+dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # none next to perfbench/
 import workloads  # noqa: E402
+
+sys.dont_write_bytecode = dont_write
 
 FRESH = 20_000
 
@@ -106,15 +116,23 @@ def run_all(config: Path, out: Path) -> None:
                 raise RuntimeError(f"run-all on {config.name} exited {exc.code}") from None
 
 
-def main() -> None:
+def digests(names=None):
+    """``<sha256>  <config>/<artifact>`` for every artifact of the named
+    configs (default: all), configs in the order given, artifacts by name."""
+    docs = configs()
     with tempfile.TemporaryDirectory() as tmp:
-        for name, doc in configs().items():
+        for name in names or docs:
             config = Path(tmp) / f"{name}.json"
-            config.write_text(json.dumps(doc))
+            config.write_text(json.dumps(docs[name]))
             out = Path(tmp) / name
             run_all(config, out)
             for path in sorted(out.iterdir()):
-                print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}/{path.name}")
+                yield f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}/{path.name}"
+
+
+def main() -> None:
+    for line in digests(sys.argv[1:]):
+        print(line)
 
 
 if __name__ == "__main__":

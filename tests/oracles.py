@@ -8,7 +8,9 @@ high-precision term summation and a binomial-tail sign evaluator for
 the certificate polynomial, coverage trials run one method at a time,
 each with its own fresh draw, fresh uniform draws by one broadcast over
 the whole array, and fresh draws and hit counts from one draw of the whole
-array, where the library streams it in blocks.  The minimal-compression search enumerates sample
+array, where the library streams it in blocks.  The samples CSV is
+written through ``csv.writer`` one numpy row at a time, where the library
+joins the rows of ``tolist()``.  The minimal-compression search enumerates sample
 subsets in increasing size and compares cores by LP.  Compression pins,
 coalition minima, lexicographic selection and the zeta row generation are
 solved with one fresh LP per program, where the library re-solves one
@@ -19,6 +21,8 @@ builds a scenario core over the relaxed bounds.
 
 from __future__ import annotations
 
+import csv
+import io
 from fractions import Fraction
 from itertools import combinations
 from math import log
@@ -404,6 +408,21 @@ def whole_array_hits(spec, thresholds, dist, n, seed):
         for hit, lims in zip(flags, thresholds):
             hit |= vals > lims[row]
     return [int(hit.sum()) for hit in flags]
+
+
+# --- the samples CSV, one csv.writer row at a time ---------------------------
+
+def csv_writer_samples_to_csv(samples):
+    """The samples CSV through ``csv.writer``: header, then one row per
+    sample of 1-based agent id, 1-based index and ``repr(float(v))`` of
+    each component."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["agent_id", "sample_index"] + [f"xi{j + 1}" for j in range(samples.dim)])
+    for agent, matrix in enumerate(samples.per_agent):
+        for index, row in enumerate(matrix):
+            writer.writerow([agent + 1, index + 1] + [repr(float(v)) for v in row])
+    return buf.getvalue()
 
 
 # --- the budget dynamic program, one budget at a time -----------------------

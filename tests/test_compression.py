@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from coalisure import compression as cp
+from coalisure import lp
 from coalisure import scenario_core as sc
 from coalisure.errors import GuardError
 from coalisure.game import Coalition, GameSpec, ValueModel
 from coalisure.sampling import DistributionSpec, PrivateSamples, draw_private
 
 from oracles import BRUTE_FORCE_GUARD, _same_core_set, brute_force_min_compression, random_affine_game
+from test_benchmark_gates import load_workloads
 
 C1, C2, C3 = Coalition.of(0), Coalition.of(1), Coalition.of(2)
 UNIT2 = DistributionSpec.uniform([0.0, 0.0], [1.0, 1.0])
@@ -108,6 +110,39 @@ class TestCompressAll:
         doc = cp.compress_all(spec, samples).to_json_dict()
         assert doc["agents"][0]["agent"] == 1
         assert doc["agents"][0]["samples"][0]["index"] == 2
+
+
+def counted_model_calls(monkeypatch) -> dict:
+    """Counts of ``lp.Model`` builds and solves (``minimize`` calls); the
+    patched methods only count and call through."""
+    counts = {"__init__": 0, "minimize": 0}
+    for name in counts:
+        def counted(self, *args, _name=name, _method=getattr(lp.Model, name), **kwargs):
+            counts[_name] += 1
+            return _method(self, *args, **kwargs)
+        monkeypatch.setattr(lp.Model, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "game, most_solves",
+    [("runall-n5-k200-seed1-round0", 40), ("readme", 6)],
+)
+def test_one_model_and_few_solves_per_sample_set(monkeypatch, game, most_solves):
+    # the previous design built one model per agent and solved every row:
+    # 5 models and 75 solves, and 3 models and 9 solves
+    wl = load_workloads()
+    if game == "readme":
+        doc = wl.config_doc(wl.README_VALUES, 6.0, 50, 20240901, 7, [])
+    else:
+        doc = wl.config_doc(*wl.affine_n5_values(1, 0), 200, wl.derive(1, 1, 0), wl.derive(1, 2, 0), [])
+    spec = GameSpec.from_json_dict(doc["game"])
+    samples = draw_private(DistributionSpec.from_json_dict(doc["distribution"]), doc["counts"], doc["master_seed"])
+    counts = counted_model_calls(monkeypatch)
+    cset = cp.compress_all(spec, samples)
+    assert counts["__init__"] == 1
+    assert counts["minimize"] <= most_solves
+    assert cset.total > 0
 
 
 class TestSetEquality:

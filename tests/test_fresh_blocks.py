@@ -61,6 +61,17 @@ def test_hits_equal_the_whole_array_oracle(name, n):
     assert all(type(e.hits) is int and e.n_samples == n for e in found)
 
 
+def test_repeated_array_gets_one_estimate_per_copy():
+    spec, dist, n = max_affine_game(), GAUSS3, B + 1
+    first = quantile_thresholds(spec, dist, 0.97)
+    thresholds = [first, quantile_thresholds(spec, dist, 0.9), first.copy()]
+    assert thresholds[2] is not first
+    found = validation.estimate_violations(spec, thresholds, dist, n, 23)
+    assert len(found) == 3
+    assert found[0] == found[2]
+    assert [e.hits for e in found] == whole_array_hits(spec, thresholds, dist, n, 23)
+
+
 @pytest.mark.parametrize("name", DISTS)
 def test_draw_fresh_bits_equal_one_shot_oracle(name):
     dist, n = DISTS[name], 3 * B + 7

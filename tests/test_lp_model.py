@@ -12,7 +12,10 @@ appended as ``lp.Rows`` and the same block appended dense give HiGHS the
 same model and the same bits.  The sparse residual check rejects a
 perturbed answer, and no other module imports the bindings.  ``lexmin``
 caps each cost's optimum before the next and runs row generation through
-a callback; only ``lp.py`` appends rows."""
+a callback; only ``lp.py`` appends rows.  ``set_lower`` replaces the
+``>=`` rows' right-hand sides in HiGHS and in ``model.program`` (``-inf``
+frees a row), and a warm re-solve then matches a fresh solve of the
+program without the freed rows."""
 
 import ast
 from dataclasses import replace
@@ -255,6 +258,39 @@ def test_only_lp_imports_the_highs_bindings():
             if any(name.startswith("scipy.optimize._highspy") for name in names):
                 importers.add(path.relative_to(package).as_posix())
     assert importers == {"lp.py"}
+
+
+class TestSetLower:
+    def test_new_bounds_match_fresh_solves(self):
+        rng = np.random.default_rng(13)
+        verdicts = set()
+        for _ in range(20):
+            prog = random_program(rng)
+            model = Model(prog)
+            model.minimize()
+            for _ in range(3):
+                b_ge = prog.b_ge + rng.normal(scale=0.5, size=prog.b_ge.size)
+                free = rng.random(prog.b_ge.size) < 0.3
+                b_ge[free] = -np.inf
+                model.set_lower(b_ge)
+                assert model.program.b_ge.tolist() == b_ge.tolist()
+                for got, want in zip(highs_copy(model)[:5], dense_program(replace(prog, b_ge=b_ge))[:5], strict=True):
+                    assert np.array_equal(np.asarray(got, dtype=float), want)  # the costs move with minimize
+                cost = rng.normal(size=prog.n_vars)
+                warm = model.minimize(cost)
+                kept = dense(prog.a_ge)[~free]
+                assert_same_answer(warm, solve(LinearProgram.build(cost, prog.a_eq, prog.b_eq, kept, b_ge[~free])))
+                verdicts.add(warm.status)
+                if warm.is_optimal:
+                    np.testing.assert_allclose(warm.slack_ge, dense(prog.a_ge) @ warm.x - b_ge, rtol=0, atol=1e-12)
+        assert OPTIMAL in verdicts and INFEASIBLE in verdicts
+
+    @pytest.mark.parametrize("b_ge", [[1.0, np.inf], [1.0, np.nan], [1.0], [1.0, 2.0, 3.0]])
+    def test_bad_bounds_are_refused(self, b_ge):
+        model = Model(LinearProgram.build([1.0, 1.0], a_ge=np.eye(2), b_ge=[0.0, 0.0]))
+        with pytest.raises(LpError, match="b_ge"):
+            model.set_lower(b_ge)
+        assert model.program.b_ge.tolist() == [0.0, 0.0]
 
 
 class ForcedStatus:

@@ -10,7 +10,7 @@ from coalisure.sampling import (
     samples_to_csv,
 )
 
-from oracles import broadcast_uniform_fresh
+from oracles import broadcast_uniform_fresh, csv_writer_samples_to_csv
 
 
 UNIT = DistributionSpec.uniform([0.0], [1.0])
@@ -147,6 +147,23 @@ class TestCsv:
         for m1, m2 in zip(s.per_agent, back.per_agent):
             assert (m1 == m2).all()
         assert samples_to_csv(back) == text
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            DistributionSpec.uniform([0.0, -0.5], [1.0, 0.5]),
+            DistributionSpec.gaussian([0.0, 1.0], [[1e-6, 0.0], [0.0, 2e6]]),
+            DistributionSpec.mixture(
+                [0.3, 0.7],
+                [DistributionSpec.uniform([0.0, 0.0], [1.0, 1.0]), DistributionSpec.gaussian([0.5, 0.5], [[0.1, 0.0], [0.0, 0.2]])],
+            ),
+        ],
+        ids=["uniform", "gaussian", "mixture"],
+    )
+    @pytest.mark.parametrize("counts", [(1, 1, 1), (1, 7, 40)])
+    def test_bytes_equal_csv_writer_oracle(self, dist, counts):
+        s = draw_private(dist, counts, 91)
+        assert samples_to_csv(s) == csv_writer_samples_to_csv(s)
 
     def test_header_required(self):
         with pytest.raises(DistributionError):

@@ -6,7 +6,9 @@ program each solve a family of programs in one ``lp.Model``; the oracles in
 games (all coalitions, pair structures, bounds tied by coalition size, an
 empty core) and in both compression modes:
 
-* compression sets and their recruiters are identical;
+* compression sets and their recruiters are identical, agent by agent
+  and from the one model ``compress_all`` shares among the agents (also
+  past an agent with an empty P_i, and for an agent in no coalition);
 * coalition minima and lexicographic allocations agree within 1e-12;
 * ζ complexities and certificates are identical, and the slack objective
   and x* agree within the program's own 1e-7 slack threshold (the
@@ -88,6 +90,47 @@ def test_compression_matches_cold_pins(instance):
     for mode in MODES:
         for agent in range(spec.n_agents):
             assert cp.compress_agent(spec, samples, agent, mode) == cold_compress_agent(spec, samples, agent, mode)
+
+
+def compress_all_against_cold_pins(spec, samples, mode):
+    """``compress_all``'s set, after checking each agent's part against the
+    cold oracle."""
+    cset = cp.compress_all(spec, samples, mode)
+    for agent in range(spec.n_agents):
+        got = (list(cset.per_agent[agent]), cset.recruiters[agent])
+        assert got == cold_compress_agent(spec, samples, agent, mode)
+    return cset
+
+
+def test_compress_all_matches_cold_pins(instance):
+    spec, samples = instance
+    for mode in MODES:
+        compress_all_against_cold_pins(spec, samples, mode)
+
+
+def test_empty_polytope_recruits_nothing_and_later_agents_match():
+    # x >= 0 and x(N) = 1.5 cannot meet agent 1's singleton maximum (2.0 or
+    # more); agents 2 and 3 can meet theirs
+    c = Coalition.of
+    forms = {c(0): (2.0, [1.0, 0.0]), c(1): (0.1, [0.5, 0.2]), c(2): (0.1, [0.2, 0.5])}
+    forms.update({c(0, 1): (0.3, [0.4, 0.1]), c(0, 2): (0.2, [0.1, 0.4]), c(1, 2): (0.4, [0.3, 0.3])})
+    spec = GameSpec(3, 1.5, ValueModel.affine(2, forms))
+    samples = draw_private(UNIT2, (6, 6, 6), 31)
+    mode = cp.CompressionMode(efficiency=True, nonnegative=True)
+    cset = compress_all_against_cold_pins(spec, samples, mode)
+    assert cset.per_agent[0] == ()
+    assert cset.per_agent[1] and cset.per_agent[2]
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.tag)
+def test_agent_in_no_coalition_recruits_nothing(mode):
+    c = Coalition.of
+    forms = {c(0): (0.1, [0.5, 0.2]), c(1): (0.2, [0.2, 0.5]), c(0, 1): (0.5, [0.4, 0.4])}
+    spec = GameSpec(3, 4.0, ValueModel.affine(2, forms), coalitions=tuple(forms))
+    assert spec.allowed(2) == ()
+    samples = draw_private(UNIT2, (5, 5, 5), 12)
+    cset = compress_all_against_cold_pins(spec, samples, mode)
+    assert cset.per_agent[2] == () and cset.recruiters[2] == {}
 
 
 def test_minima_and_allocation_match_cold_solves(instance):
